@@ -9,6 +9,7 @@ the shared secret the server authenticates against.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,7 +19,8 @@ import numpy as np
 NODE_KIND_LOGIT = "logit"
 NODE_KIND_LITERAL = "literal"
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2
+MODEL_FILE_DTYPE = "<f8"
 
 
 class ModelFormatError(ValueError):
@@ -38,11 +40,13 @@ def node_count(n_actions: int, depth: int) -> int:
 def _softmax_rows(logits: np.ndarray, temperature: float) -> np.ndarray:
     # Fixed evaluation order (max-subtraction, exp, left-to-right sum) so two
     # independent parties computing from the same logits agree bit for bit.
-    scaled = logits / temperature
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
-    totals = np.cumsum(e, axis=1)[:, -1:]
-    return e / totals
+    # In place after the first division: at paper size every model load
+    # runs this over 1.1M entries, and each temporary costs milliseconds.
+    e = logits / temperature
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.cumsum(e, axis=1)[:, -1:]
+    return e
 
 
 def boltzmann(logits, temperature: float) -> np.ndarray:
@@ -209,39 +213,83 @@ def fit_mle_pdt(n_actions: int, depth: int, transcripts, role: str = "client") -
 
 
 def save_pdt(pdt: Pdt, path) -> None:
-    doc = {
+    """Write a version-2 model file: one JSON header line, then the node
+    table as raw little-endian float64 in breadth-first row order.  The
+    header carries the SHA-256 of that body and no timestamp, so the same
+    model always gives the same bytes."""
+    body = np.ascontiguousarray(pdt.nodes, dtype=MODEL_FILE_DTYPE).tobytes()
+    header = {
         "version": MODEL_FILE_VERSION,
         "n_actions": pdt.n_actions,
         "depth": pdt.depth,
         "temperature": pdt.temperature,
         "node_kind": pdt.node_kind,
-        "nodes": [list(row) for row in pdt.nodes],
+        "dtype": MODEL_FILE_DTYPE,
+        "sha256": hashlib.sha256(body).hexdigest(),
     }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    with open(path, "wb") as f:
+        f.write(json.dumps(header).encode() + b"\n")
+        f.write(body)
+
+
+_REQUIRED_FIELDS = {
+    1: ("n_actions", "depth", "temperature", "node_kind", "nodes"),
+    2: ("n_actions", "depth", "temperature", "node_kind", "dtype", "sha256"),
+}
 
 
 def load_pdt(path) -> Pdt:
-    with open(path) as f:
+    """Read a model file.  Version 2 is what save_pdt writes; version 1 (the
+    whole model as one line of JSON) still loads."""
+    with open(path, "rb") as f:
         try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"not valid JSON: {exc}") from exc
+            doc = json.loads(f.readline())
+        except ValueError as exc:
+            raise ModelFormatError(f"header is not valid JSON: {exc}") from exc
+        body = f.read()
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level value must be an object")
     version = doc.get("version")
-    if version != MODEL_FILE_VERSION:
+    if version not in _REQUIRED_FIELDS:
         raise UnsupportedVersionError(f"unsupported model file version: {version!r}")
-    for key in ("n_actions", "depth", "temperature", "node_kind", "nodes"):
+    for key in _REQUIRED_FIELDS[version]:
         if key not in doc:
             raise ModelFormatError(f"missing field {key!r}")
+    if version == 1:
+        if body.strip():
+            raise ModelFormatError("unexpected data after the version-1 JSON line")
+        nodes = doc["nodes"]
+    else:
+        nodes = _v2_nodes(doc, body)
     try:
         return Pdt(
             n_actions=int(doc["n_actions"]),
             depth=int(doc["depth"]),
             temperature=float(doc["temperature"]),
-            nodes=np.asarray(doc["nodes"], dtype=np.float64),
+            nodes=np.asarray(nodes, dtype=np.float64),
             node_kind=doc["node_kind"],
         )
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid model file: {exc}") from exc
+
+
+def _v2_nodes(header: dict, body: bytes) -> np.ndarray:
+    """Check a version-2 body against its header, then view it as the node
+    table.  The length is checked before anything of the declared size is
+    allocated, and the checksum before any value is used."""
+    if header["dtype"] != MODEL_FILE_DTYPE:
+        raise ModelFormatError(
+            f"unsupported dtype {header['dtype']!r}, expected {MODEL_FILE_DTYPE!r}"
+        )
+    n, depth = header["n_actions"], header["depth"]
+    if type(n) is not int or type(depth) is not int or n < 2 or depth < 1:
+        raise ModelFormatError("n_actions and depth must be integers >= 2 and >= 1")
+    # A tree of depth 64 or more has at least 2^64 nodes, more than any file
+    # holds; the bound also keeps node_count from building a huge integer.
+    if depth >= 64 or len(body) != node_count(n, depth) * n * 8:
+        raise ModelFormatError(
+            f"body length {len(body)} does not match a tree with n={n}, k={depth}"
+        )
+    if hashlib.sha256(body).hexdigest() != header["sha256"]:
+        raise ModelFormatError("body checksum does not match the header's sha256")
+    return np.frombuffer(body, dtype=MODEL_FILE_DTYPE).reshape(-1, n)

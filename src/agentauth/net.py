@@ -11,6 +11,7 @@ itself never crosses the wire.
 from __future__ import annotations
 
 import hashlib
+import logging
 import secrets
 import socket
 import socketserver
@@ -44,8 +45,13 @@ MAX_FRAME_BYTES = 64 * 1024
 PROTOCOL_VERSION = 1
 NONCE_BYTES = 16
 DEFAULT_TIMEOUT = 10.0
+# Longest exchange a client agrees to run; l comes from the server, and an
+# unchecked l of 2^32 - 1 would hold the client in its step loop for days.
+MAX_SESSION_LENGTH = 10_000
 
 PARAMS_STRUCT = struct.Struct(">HIHH")  # n, l, k, version
+
+log = logging.getLogger(__name__)
 
 
 class FrameError(ValueError):
@@ -209,10 +215,13 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         except (FrameError, ProtocolError) as exc:
             try:
                 send_frame(sock, FRAME_ERROR, str(exc).encode())
-            except OSError:
-                pass
-        except (OSError, socket.timeout):
-            pass
+            except OSError as send_exc:
+                log.warning(
+                    "session with %s: %s, then sending the error failed: %s",
+                    self.client_address, type(exc).__name__, type(send_exc).__name__,
+                )
+        except OSError as exc:
+            log.warning("session with %s aborted: %s", self.client_address, type(exc).__name__)
 
     def _run_session(self, sock, server, model: Pdt, cfg: ServerConfig):
         rng = server.session_rng()
@@ -268,6 +277,8 @@ def client_authenticate(
         n, l, k, version = PARAMS_STRUCT.unpack(payload)
         if version != PROTOCOL_VERSION:
             raise ProtocolError(f"unsupported protocol version {version}")
+        if l > MAX_SESSION_LENGTH:
+            raise ProtocolError(f"server asked for l={l}, above the limit {MAX_SESSION_LENGTH}")
         if n != model.n_actions or k != model.depth:
             raise ProtocolError(
                 f"server params (n={n}, k={k}) do not match the client model "

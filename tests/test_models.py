@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from agentauth.engine import derive_key, run_interaction
+from agentauth.hypo import hypothesis_test
 from agentauth.models import (
     ModelFormatError,
     Pdt,
@@ -281,3 +283,152 @@ class TestSaveLoad:
         path.write_text("{not json")
         with pytest.raises(ModelFormatError):
             load_pdt(path)
+
+
+def write_v1(pdt, path):
+    """A version-1 file, byte for byte as version-1 save_pdt wrote it."""
+    doc = {
+        "version": 1,
+        "n_actions": pdt.n_actions,
+        "depth": pdt.depth,
+        "temperature": pdt.temperature,
+        "node_kind": pdt.node_kind,
+        "nodes": [list(row) for row in pdt.nodes],
+    }
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
+def split_v2(path):
+    header, newline, body = path.read_bytes().partition(b"\n")
+    assert newline
+    return json.loads(header), body
+
+
+def write_v2(path, header, body):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+class TestModelFileV2:
+    def test_paper_size_round_trip_bit_exact(self, tmp_path):
+        pdt = generate_random_pdt(10, 5, 0.1, np.random.default_rng(17))
+        path = tmp_path / "user.json"
+        save_pdt(pdt, path)
+        header, body = split_v2(path)
+        assert header["version"] == 2 and header["dtype"] == "<f8"
+        assert len(body) == node_count(10, 5) * 10 * 8
+        loaded = load_pdt(path)
+        assert (loaded.n_actions, loaded.depth, loaded.temperature) == (10, 5, 0.1)
+        assert loaded.node_kind == "logit"
+        assert np.array_equal(loaded.nodes, pdt.nodes)
+        assert np.array_equal(loaded._probs, pdt._probs)
+
+    def test_literal_with_exact_zeros_round_trip(self, tmp_path):
+        pdt = fit_mle_pdt(3, 2, [[(1, 2), (2, 1), (3, 3), (1, 2)]])
+        assert np.any(pdt.nodes == 0.0)
+        path = tmp_path / "mle.json"
+        save_pdt(pdt, path)
+        loaded = load_pdt(path)
+        assert loaded.node_kind == "literal"
+        assert np.array_equal(loaded.nodes, pdt.nodes)
+        assert np.array_equal(loaded._probs, pdt._probs)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_pdt(generate_random_pdt(3, 2, 1.0, np.random.default_rng(19)), path)
+        return path
+
+    def test_flipped_body_byte_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        header, body = split_v2(path)
+        corrupt = bytearray(body)
+        corrupt[37] ^= 0x01
+        write_v2(path, header, bytes(corrupt))
+        with pytest.raises(ModelFormatError, match="checksum"):
+            load_pdt(path)
+
+    @pytest.mark.parametrize("cut", [1, 8, 3 * 8])
+    def test_truncated_body_rejected(self, tmp_path, cut):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ModelFormatError, match="length"):
+            load_pdt(path)
+
+    @pytest.mark.parametrize("field,value", [("n_actions", 4), ("depth", 3), ("depth", 1)])
+    def test_header_disagreeing_with_body_rejected(self, tmp_path, field, value):
+        path = self._saved(tmp_path)
+        header, body = split_v2(path)
+        write_v2(path, {**header, field: value}, body)
+        with pytest.raises(ModelFormatError, match="length"):
+            load_pdt(path)
+
+    def test_huge_declared_tree_fails_length_check(self, tmp_path):
+        # node_count(3, 40) * 3 floats cannot be allocated: reaching the
+        # length check first is the only way to get ModelFormatError here.
+        path = self._saved(tmp_path)
+        header, body = split_v2(path)
+        write_v2(path, {**header, "depth": 40}, body)
+        with pytest.raises(ModelFormatError, match="length"):
+            load_pdt(path)
+
+    @pytest.mark.parametrize("dtype", [">f8", "<f4", "float64"])
+    def test_other_dtype_rejected(self, tmp_path, dtype):
+        path = self._saved(tmp_path)
+        header, body = split_v2(path)
+        write_v2(path, {**header, "dtype": dtype}, body)
+        with pytest.raises(ModelFormatError, match="dtype"):
+            load_pdt(path)
+
+    @pytest.mark.parametrize("field", ["dtype", "sha256"])
+    def test_missing_v2_field_named(self, tmp_path, field):
+        path = self._saved(tmp_path)
+        header, body = split_v2(path)
+        del header[field]
+        write_v2(path, header, body)
+        with pytest.raises(ModelFormatError, match=field):
+            load_pdt(path)
+
+    def test_hand_written_v1_doc_loads(self, tmp_path):
+        path = tmp_path / "v1.json"
+        doc = {
+            "version": 1,
+            "n_actions": 2,
+            "depth": 1,
+            "temperature": 0.5,
+            "node_kind": "logit",
+            "nodes": [[0.25, 0.75], [0.0, 1.0], [1.0, -1.0]],
+        }
+        path.write_text(json.dumps(doc))
+        loaded = load_pdt(path)
+        assert (loaded.n_actions, loaded.depth, loaded.temperature) == (2, 1, 0.5)
+        assert np.array_equal(loaded.nodes, doc["nodes"])
+
+    def test_v1_trailing_data_rejected(self, tmp_path):
+        path = tmp_path / "v1.json"
+        write_v1(generate_random_pdt(2, 1, 1.0, np.random.default_rng(20)), path)
+        with open(path, "a") as f:
+            f.write("\n{}")
+        with pytest.raises(ModelFormatError, match="after"):
+            load_pdt(path)
+
+
+class TestV1ToV2Conversion:
+    """Converting a v1 file to v2 changes no node, key or p-value bit."""
+
+    def test_keys_and_p_values_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(21)
+        user = generate_random_pdt(10, 3, 0.1, rng)
+        server = generate_random_pdt(10, 3, 1.0, rng)
+        history = run_interaction(PdtAgent(server), PdtAgent(user), 200, rng, rng)
+        write_v1(user, tmp_path / "v1.json")
+        from_v1 = load_pdt(tmp_path / "v1.json")
+        save_pdt(from_v1, tmp_path / "v2.json")
+        from_v2 = load_pdt(tmp_path / "v2.json")
+        assert split_v2(tmp_path / "v2.json")[0]["version"] == 2
+        assert np.array_equal(from_v1.nodes, from_v2.nodes)
+        assert np.array_equal(from_v1._probs, from_v2._probs)
+        assert derive_key(history, from_v1) == derive_key(history, from_v2)
+        assert derive_key(history, from_v2) == derive_key(history, user)
+        v1 = hypothesis_test(history, from_v1, 0.1, 1000, np.random.default_rng(22))
+        v2 = hypothesis_test(history, from_v2, 0.1, 1000, np.random.default_rng(22))
+        assert v1 == v2

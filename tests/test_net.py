@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import socket
 import threading
 
@@ -14,6 +15,8 @@ from agentauth.net import (
     FRAME_REVEAL,
     FRAME_TYPES,
     MAX_FRAME_BYTES,
+    PARAMS_STRUCT,
+    PROTOCOL_VERSION,
     AmiServer,
     FrameError,
     ProtocolError,
@@ -209,3 +212,51 @@ class TestCommitRevealDiscipline:
             ftype, payload = recv_frame(sock)
             assert ftype == FRAME_ERROR
             assert b"32 bytes" in payload
+
+
+class TestHostilePeers:
+    def test_client_refuses_huge_l_before_first_commit(self, models):
+        legit, _ = models
+        received = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5.0)
+
+            def one_shot_server():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5.0)
+                    received.append(recv_frame(conn))
+                    params = PARAMS_STRUCT.pack(3, 2**32 - 1, 2, PROTOCOL_VERSION)
+                    send_frame(conn, FRAME_PARAMS, params)
+                    while chunk := conn.recv(4096):  # everything until the client hangs up
+                        received.append(chunk)
+
+            thread = threading.Thread(target=one_shot_server)
+            thread.start()
+            with pytest.raises(ProtocolError, match="above the limit"):
+                client_authenticate(
+                    listener.getsockname(), "alice", legit, np.random.default_rng(70)
+                )
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert received == [(FRAME_HELLO, b"alice")]  # no COMMIT was ever sent
+
+    def test_silent_client_timeout_is_logged(self, models, caplog):
+        legit, server_model = models
+        config = ServerConfig(l=10, mc_samples=100, timeout=0.2, seed=1)
+        server = AmiServer(
+            ("127.0.0.1", 0), {"alice": legit}, lambda: PdtAgent(server_model), config
+        )
+        server.start_background()
+        try:
+            with caplog.at_level(logging.WARNING, logger="agentauth.net"):
+                with socket.create_connection(server.server_address, timeout=5.0) as sock:
+                    peer = sock.getsockname()
+                    # say nothing; the server logs, then closes the connection
+                    assert sock.recv(1) == b""
+        finally:
+            server.shutdown()
+            server.server_close()
+        messages = [r.getMessage() for r in caplog.records if r.name == "agentauth.net"]
+        assert len(messages) == 1
+        assert str(peer) in messages[0] and "TimeoutError" in messages[0]
