@@ -282,6 +282,11 @@ def cmd_eval_probe(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    try:
+        config = net.ServerConfig(l=args.l, alpha=args.alpha, seed=args.seed)
+    except ValueError as exc:
+        print(f"invalid server configuration: {exc}", file=sys.stderr)
+        return 1
     registry = {}
     for name in os.listdir(args.registry):
         if name.endswith(".json"):
@@ -291,7 +296,6 @@ def cmd_serve(args) -> int:
         return 1
     server_model = load_pdt(args.server_model)
     host, port = _parse_addr(args.listen)
-    config = net.ServerConfig(l=args.l, alpha=args.alpha, seed=args.seed)
     server = net.AmiServer(
         (host, port), registry, lambda: PdtAgent(server_model), config
     )

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from agentauth.models import Pdt
+from agentauth.models import Pdt, node_path
 
 KEY_QUANT_BITS = 32
 CONFIRM_LABEL = b"confirm"
@@ -94,14 +93,13 @@ def derive_key(history: InteractionHistory, model: Pdt) -> bytes:
     words are hashed with SHA-256.  Both sides obtain the same key exactly
     when their models assign identical probabilities along the transcript.
     """
-    h = hashlib.sha256()
-    server_hist: list[int] = []
-    for a_s, a_c in history.steps:
-        q = model.action_distribution(server_hist)
-        quantized = round(float(q[a_c - 1]) * (1 << KEY_QUANT_BITS))
-        h.update(struct.pack(">Q", quantized))
-        server_hist.append(a_s)
-    return h.digest()
+    steps = history.length
+    nodes = node_path(history.server_actions(), model.n_actions, model.depth, steps)
+    client = np.asarray(history.client_actions(), dtype=np.intp)
+    p = model.node_probs(nodes)[np.arange(steps), client - 1]
+    # np.rint rounds half to even, as round() does.
+    quantized = np.rint(p * (1 << KEY_QUANT_BITS)).astype(">u8")
+    return hashlib.sha256(quantized.tobytes()).digest()
 
 
 def confirmation_tag(key: bytes) -> bytes:

@@ -8,6 +8,10 @@ obtained by Monte-Carlo resampling of client actions (the server actions are
 held fixed, so step scores are conditionally independent and their exact
 moments are also computed analytically).  The transcript is rejected when its
 statistic is too extreme relative to the null.
+
+One vectorised sampler, null_draws, serves both p_value and rl.p_curve.  It
+consumes exactly one (M, steps) block of uniforms per call, so a seeded
+generator reproduces a p-value bit for bit.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from agentauth.engine import InteractionHistory
-from agentauth.models import Pdt
+from agentauth.models import Pdt, node_path
 
 DEFAULT_ALPHA = 0.1
 DEFAULT_MC_SAMPLES = 1000
+_DRAW_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -66,24 +71,28 @@ def step_score(observed: int, q: np.ndarray) -> float:
 def step_distributions(server_actions, model: Pdt, steps: int) -> np.ndarray:
     """Model's conditional client-action distribution at each step, given the
     server actions strictly before it.  Shape (steps, n_actions)."""
-    server_actions = list(server_actions)
-    out = np.empty((steps, model.n_actions))
-    for t in range(steps):
-        out[t] = model.action_distribution(server_actions[:t])
-    return out
+    return model.node_probs(node_path(server_actions, model.n_actions, model.depth, steps))
+
+
+def score_tables(q: np.ndarray) -> np.ndarray:
+    """action_scores of every row of q at once; row t equals
+    action_scores(q[t]) bit for bit."""
+    sq = np.take_along_axis(q, np.argsort(q, axis=1, kind="stable"), axis=1)
+    cum = np.cumsum(sq, axis=1)
+    # Counting the sorted entries <= q(a) is searchsorted(sq, q(a), "right").
+    idx = np.count_nonzero(sq[:, None, :] <= q[:, :, None], axis=2)
+    return 0.5 * (q + np.take_along_axis(cum, idx - 1, axis=1))
+
+
+def observed_scores(scores: np.ndarray, client_actions) -> np.ndarray:
+    """Score of the observed client action at each step."""
+    return scores[np.arange(scores.shape[0]), np.asarray(client_actions, dtype=np.intp) - 1]
 
 
 def test_statistic(history: InteractionHistory, model: Pdt) -> float:
     """Mean step score of the observed client actions."""
     q = step_distributions(history.server_actions(), model, history.length)
-    scores = np.array(
-        [action_scores(q[t])[c - 1] for t, c in enumerate(history.client_actions())]
-    )
-    return float(scores.mean())
-
-
-def _score_tables(q: np.ndarray) -> np.ndarray:
-    return np.stack([action_scores(row) for row in q])
+    return float(observed_scores(score_tables(q), history.client_actions()).mean())
 
 
 def _analytic_moments(q: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
@@ -97,6 +106,29 @@ def _analytic_moments(q: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
     return mean, variance
 
 
+def null_draws(
+    q: np.ndarray, scores: np.ndarray, M: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(M, steps) step scores of client actions drawn from q by inverse CDF,
+    from one rng.random((M, steps)) block."""
+    steps, n = q.shape
+    u = rng.random((M, steps))
+    thresholds = np.cumsum(q, axis=1)[:, :-1].T.copy()
+    offsets = np.arange(steps) * n
+    table = scores.ravel()
+    # Chunks of rows keep the index arrays small and in cache; each chunk's
+    # scores overwrite its uniforms (out= with mode="clip" writes in place,
+    # the default mode buffers a copy).
+    for chunk in np.split(u, range(_DRAW_CHUNK_ROWS, M, _DRAW_CHUNK_ROWS)):
+        # CDF rows are non-decreasing, so counting the first n - 1 entries
+        # <= u is min(searchsorted(cdf_t, u, side="right"), n - 1).
+        counts = np.zeros(chunk.shape, dtype=np.min_scalar_type(n - 1))
+        for threshold in thresholds:
+            counts += chunk >= threshold
+        table.take(counts + offsets, out=chunk, mode="clip")
+    return u
+
+
 def null_summary(
     server_actions, model: Pdt, M: int, rng: np.random.Generator
 ) -> NullSummary:
@@ -106,16 +138,9 @@ def null_summary(
         raise ValueError("M must be >= 1")
     steps = len(server_actions)
     q = step_distributions(server_actions, model, steps)
-    scores = _score_tables(q)
+    scores = score_tables(q)
     mean, variance = _analytic_moments(q, scores)
-    cum = np.cumsum(q, axis=1)
-    u = rng.random((M, steps))
-    sampled = np.empty((M, steps))
-    for t in range(steps):
-        idx = np.minimum(
-            np.searchsorted(cum[t], u[:, t], side="right"), model.n_actions - 1
-        )
-        sampled[:, t] = scores[t, idx]
+    sampled = null_draws(q, scores, M, rng)
     return NullSummary(mean=mean, variance=variance, mc_samples=sampled.mean(axis=1))
 
 
@@ -157,13 +182,9 @@ def incremental_p(history: InteractionHistory, model: Pdt) -> float:
     if history.length < 1:
         raise ValueError("need at least one step")
     q = step_distributions(history.server_actions(), model, history.length)
-    scores = _score_tables(q)
+    scores = score_tables(q)
     mean, variance = _analytic_moments(q, scores)
-    z = float(
-        np.mean(
-            [scores[t, c - 1] for t, c in enumerate(history.client_actions())]
-        )
-    )
+    z = float(np.mean(observed_scores(scores, history.client_actions())))
     return _normal_two_sided(z, mean, variance)
 
 

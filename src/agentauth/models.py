@@ -37,6 +37,28 @@ def node_count(n_actions: int, depth: int) -> int:
     return (n_actions ** (depth + 1) - 1) // (n_actions - 1)
 
 
+def node_path(opponent_actions, n_actions: int, depth: int, steps: int) -> np.ndarray:
+    """Breadth-first node index for each step t < steps: the node reached by
+    the opponent's last min(t, depth) actions before t, oldest first.
+
+    Node t is offset[min(t, depth)] plus the base-n code of that window, where
+    offset[j] = (n^j - 1) / (n - 1) counts the nodes above level j.  Only the
+    first steps - 1 actions are read; each must lie in 1..n_actions.
+    """
+    used = np.asarray(opponent_actions, dtype=np.int64)[: max(steps - 1, 0)]
+    if used.size < steps - 1:
+        raise ValueError(f"{steps} steps need {steps - 1} opponent actions, got {used.size}")
+    if used.size and (used.min() < 1 or used.max() > n_actions):
+        bad = used[(used < 1) | (used > n_actions)][0]
+        raise ValueError(f"action {bad} out of range 1..{n_actions}")
+    digits = used - 1
+    code = np.zeros(steps, dtype=np.int64)
+    for j in range(1, min(depth, steps - 1) + 1):
+        code[j:] += digits[: steps - j] * n_actions ** (j - 1)
+    level = np.minimum(np.arange(steps), depth)
+    return (n_actions**level - 1) // (n_actions - 1) + code
+
+
 def _softmax_rows(logits: np.ndarray, temperature: float) -> np.ndarray:
     # Fixed evaluation order (max-subtraction, exp, left-to-right sum) so two
     # independent parties computing from the same logits agree bit for bit.
@@ -144,7 +166,7 @@ class Pdt:
         """Inverse-CDF draw in ascending action-index order."""
         p = self.action_distribution(opponent_history)
         u = rng.random()
-        idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
+        idx = int(p.cumsum().searchsorted(u, side="right"))
         return min(idx, self.n_actions - 1) + 1
 
 
@@ -186,21 +208,11 @@ def fit_mle_pdt(n_actions: int, depth: int, transcripts, role: str = "client") -
     if not steps_lists:
         raise ValueError("need at least one transcript")
     counts = np.zeros((node_count(n_actions, depth), n_actions))
-    scratch = Pdt(
-        n_actions=n_actions,
-        depth=depth,
-        temperature=1.0,
-        nodes=np.zeros((node_count(n_actions, depth), n_actions)),
-    )
     for steps in steps_lists:
-        window: list[int] = []
-        for a_s, a_c in steps:
-            own, opp = (a_c, a_s) if role == "client" else (a_s, a_c)
-            node = scratch.node_index(window)
-            counts[node, own - 1] += 1
-            window.append(opp)
-            if len(window) > depth:
-                window.pop(0)
+        pairs = np.asarray(steps, dtype=np.int64).reshape(-1, 2)
+        server, client = pairs[:, 0], pairs[:, 1]
+        own, opp = (client, server) if role == "client" else (server, client)
+        np.add.at(counts, (node_path(opp, n_actions, depth, len(pairs)), own - 1), 1)
     totals = counts.sum(axis=1, keepdims=True)
     probs = np.where(totals > 0, counts / np.where(totals > 0, totals, 1), 1.0 / n_actions)
     return Pdt(

@@ -168,6 +168,12 @@ class ServerConfig:
     seed: int = 0
     force_accept: bool = False  # test hook: issue a tag even on reject
 
+    def __post_init__(self):
+        # Every client refuses an l above MAX_SESSION_LENGTH, so a server
+        # configured with one could complete no session at all.
+        if not 0 <= self.l <= MAX_SESSION_LENGTH:
+            raise ValueError(f"l must be in 0..{MAX_SESSION_LENGTH}, got {self.l}")
+
 
 class AmiServer(socketserver.ThreadingTCPServer):
     """Accepts any number of concurrent sessions; per-session RNG streams are
@@ -213,6 +219,9 @@ class _SessionHandler(socketserver.BaseRequestHandler):
                 raise ProtocolError(f"unknown user {user_id!r}")
             self._run_session(sock, server, model, cfg)
         except (FrameError, ProtocolError) as exc:
+            log.warning(
+                "session with %s: %s: %r", self.client_address, type(exc).__name__, str(exc)
+            )
             try:
                 send_frame(sock, FRAME_ERROR, str(exc).encode())
             except OSError as send_exc:

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from agentauth.engine import run_interaction
-from agentauth.hypo import RunningPValue, action_scores, step_distributions
+from agentauth.hypo import (
+    RunningPValue,
+    null_draws,
+    observed_scores,
+    score_tables,
+    step_distributions,
+)
 from agentauth.models import Pdt, PdtAgent
 
 MODE_GREEDY = "greedy"
@@ -257,19 +263,10 @@ def p_curve(
         server_agent, client_agent, steps - 1, rng, rng, n_actions=legit.n_actions
     )
     q = step_distributions(history.server_actions(), legit, steps)
-    scores = np.stack([action_scores(row) for row in q])
-    s_obs = np.array(
-        [scores[t, c - 1] for t, c in enumerate(history.client_actions())]
-    )
+    scores = score_tables(q)
+    s_obs = observed_scores(scores, history.client_actions())
     means = (q * scores).sum(axis=1)
-    cum_q = np.cumsum(q, axis=1)
-    u = rng.random((M, steps))
-    sampled = np.empty((M, steps))
-    for t in range(steps):
-        idx = np.minimum(
-            np.searchsorted(cum_q[t], u[:, t], side="right"), legit.n_actions - 1
-        )
-        sampled[:, t] = scores[t, idx]
+    sampled = null_draws(q, scores, M, rng)
     lengths = np.arange(1, steps + 1)
     z_obs = np.cumsum(s_obs) / lengths
     null_mean = np.cumsum(means) / lengths

@@ -176,6 +176,28 @@ class TestServeClient:
         proc.terminate()
         proc.wait(timeout=10)
 
+    def test_serve_refuses_l_above_client_limit(self, tmp_path):
+        rng = np.random.default_rng(9)
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        save_pdt(generate_random_pdt(3, 2, 0.3, rng), registry / "alice.json")
+        save_pdt(generate_random_pdt(3, 2, 1.0, rng), tmp_path / "server.json")
+        proc = subprocess.run(
+            [
+                sys.executable, "-u", "-m", "agentauth.cli", "serve",
+                "--listen", "127.0.0.1:0",
+                "--registry", str(registry),
+                "--server-model", str(tmp_path / "server.json"),
+                "--l", "20000",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "listening on" not in proc.stdout
+        assert "l must be" in proc.stderr
+
     def test_accept_and_reject_exit_codes(self, setup, tmp_path):
         registry, port = setup
         code = main([

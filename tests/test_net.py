@@ -15,6 +15,7 @@ from agentauth.net import (
     FRAME_REVEAL,
     FRAME_TYPES,
     MAX_FRAME_BYTES,
+    MAX_SESSION_LENGTH,
     PARAMS_STRUCT,
     PROTOCOL_VERSION,
     AmiServer,
@@ -187,6 +188,23 @@ class TestCommitRevealDiscipline:
             assert ftype == FRAME_ERROR
             assert b"commitment" in payload
 
+    def test_tampered_reveal_is_logged(self, live_server, caplog):
+        _, addr = live_server
+        nonce = b"\x00" * 16
+        with caplog.at_level(logging.WARNING, logger="agentauth.net"):
+            with self._handshake(addr) as sock:
+                peer = sock.getsockname()
+                recv_frame(sock)
+                send_frame(sock, FRAME_COMMIT, commit_digest(1, nonce))
+                recv_frame(sock)
+                send_frame(sock, FRAME_REVEAL, bytes([2]) + nonce)
+                ftype, _ = recv_frame(sock)
+                assert ftype == FRAME_ERROR
+        messages = [r.getMessage() for r in caplog.records if r.name == "agentauth.net"]
+        assert len(messages) == 1
+        assert str(peer) in messages[0]
+        assert "ProtocolError: 'reveal does not match commitment'" in messages[0]
+
     def test_no_reveal_before_peer_commit(self, live_server):
         _, addr = live_server
         with self._handshake(addr) as sock:
@@ -215,6 +233,12 @@ class TestCommitRevealDiscipline:
 
 
 class TestHostilePeers:
+    @pytest.mark.parametrize("l", [-1, MAX_SESSION_LENGTH + 1])
+    def test_server_refuses_l_every_client_refuses(self, l):
+        with pytest.raises(ValueError, match="l must be"):
+            ServerConfig(l=l)
+        assert ServerConfig(l=MAX_SESSION_LENGTH).l == MAX_SESSION_LENGTH
+
     def test_client_refuses_huge_l_before_first_commit(self, models):
         legit, _ = models
         received = []
