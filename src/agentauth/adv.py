@@ -19,10 +19,6 @@ class ReplayAgent:
     def __init__(self, client_actions):
         self.client_actions = list(client_actions)
 
-    @classmethod
-    def from_history(cls, history: InteractionHistory) -> "ReplayAgent":
-        return cls(history.client_actions())
-
     def next_action(self, opponent_history, rng) -> int:
         t = len(opponent_history)
         if t >= len(self.client_actions):
@@ -41,7 +37,7 @@ def make_random_adversary(
 
 
 def make_replay_adversary(recorded: InteractionHistory) -> ReplayAgent:
-    return ReplayAgent.from_history(recorded)
+    return ReplayAgent(recorded.client_actions())
 
 
 def make_mle_adversary(observed, n_actions: int, depth: int) -> PdtAgent:

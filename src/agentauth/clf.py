@@ -47,18 +47,6 @@ def encode_history(history: InteractionHistory) -> np.ndarray:
     return v
 
 
-def decode_history(vector: np.ndarray, n_actions: int) -> InteractionHistory:
-    """Inverse of encode_history for valid encodings."""
-    vector = np.asarray(vector)
-    if vector.size % (2 * n_actions) != 0:
-        raise ValueError("vector length is not a multiple of 2*n_actions")
-    steps = []
-    blocks = vector.reshape(-1, 2, n_actions)
-    for srv, cli in blocks:
-        steps.append((int(np.argmax(srv)) + 1, int(np.argmax(cli)) + 1))
-    return InteractionHistory(steps=steps, n_actions=n_actions)
-
-
 @dataclass
 class Dataset:
     x_train: np.ndarray

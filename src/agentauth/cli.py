@@ -323,7 +323,12 @@ def cmd_client(args) -> int:
 
 def cmd_derive_key(args) -> int:
     model = load_pdt(args.model)
-    history = load_transcript(args.transcript)
+    try:
+        history = load_transcript(args.transcript)
+    except (KeyError, ValueError) as exc:
+        message = f"{args.transcript}: {type(exc).__name__}: {exc}"
+        print(f"agentauth derive-key: {message}", file=sys.stderr)
+        return 1
     print(derive_key(history, model).hex())
     return 0
 

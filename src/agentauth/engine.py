@@ -33,6 +33,12 @@ class InteractionHistory:
     steps: list
     n_actions: int
 
+    def __post_init__(self):
+        n = self.n_actions
+        for s, c in self.steps:
+            if not (isinstance(s, int) and isinstance(c, int) and 0 < s <= n and 0 < c <= n):
+                raise ValueError(f"step {(s, c)} has an action outside 1..{n}")
+
     @property
     def length(self) -> int:
         return len(self.steps)
@@ -44,6 +50,33 @@ class InteractionHistory:
         return [c for _, c in self.steps]
 
 
+def exchange(
+    agent: AgentHandle, peer, l: int, rng: np.random.Generator, n_actions: int, role="server"
+) -> InteractionHistory:
+    """Run one session's l+1 simultaneous steps from one side's view: each step,
+    agent.next_action(peer_actions_so_far, rng) picks this side's action, then
+    peer(own_action, own_actions_before) returns the peer's (another agent, or
+    a commit-reveal round on a socket).  An action that is not an int in
+    1..n_actions raises ProtocolViolation naming its side.  Agents get the
+    loop's own growing lists and must neither keep nor change them.  The
+    history is in (server, client) order."""
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    other = "client" if role == "server" else "server"
+    own, theirs = [], []
+    for _ in range(l + 1):
+        a = agent.next_action(theirs, rng)
+        if not (isinstance(a, int) and 0 < a <= n_actions):
+            raise ProtocolViolation(f"{role} produced invalid action {a!r}")
+        b = peer(a, own)
+        if not (isinstance(b, int) and 0 < b <= n_actions):
+            raise ProtocolViolation(f"{other} produced invalid action {b!r}")
+        own.append(a)
+        theirs.append(b)
+    pairs = zip(own, theirs) if role == "server" else zip(theirs, own)
+    return InteractionHistory(steps=list(pairs), n_actions=n_actions)
+
+
 def run_interaction(
     server: AgentHandle,
     client: AgentHandle,
@@ -52,36 +85,15 @@ def run_interaction(
     rng_c: np.random.Generator,
     n_actions: int | None = None,
 ) -> InteractionHistory:
-    """Simulate a full exchange of l+1 simultaneous steps.
-
-    At each step both agents draw from distributions conditioned only on the
-    history strictly before that step; neither sees the other's current action.
-    """
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    """Simulate a full exchange of l+1 simultaneous steps in process: at each
+    step the server, then the client, draws conditioned only on the history
+    strictly before that step, so neither sees the other's current action."""
     if n_actions is None:
-        n_actions = _infer_n(server) or _infer_n(client)
-        if n_actions is None:
+        pdt = getattr(server, "pdt", None) or getattr(client, "pdt", None)
+        if pdt is None:
             raise ValueError("n_actions must be given for non-PDT agents")
-    server_hist: list[int] = []
-    client_hist: list[int] = []
-    steps = []
-    for _ in range(l + 1):
-        a_s = server.next_action(tuple(client_hist), rng_s)
-        a_c = client.next_action(tuple(server_hist), rng_c)
-        if not (isinstance(a_s, int) and 1 <= a_s <= n_actions):
-            raise ProtocolViolation(f"server produced invalid action {a_s!r}")
-        if not (isinstance(a_c, int) and 1 <= a_c <= n_actions):
-            raise ProtocolViolation(f"client produced invalid action {a_c!r}")
-        steps.append((a_s, a_c))
-        server_hist.append(a_s)
-        client_hist.append(a_c)
-    return InteractionHistory(steps=steps, n_actions=n_actions)
-
-
-def _infer_n(agent) -> int | None:
-    pdt = getattr(agent, "pdt", None)
-    return pdt.n_actions if pdt is not None else None
+        n_actions = pdt.n_actions
+    return exchange(server, lambda _, seen: client.next_action(seen, rng_c), l, rng_s, n_actions)
 
 
 def derive_key(history: InteractionHistory, model: Pdt) -> bytes:

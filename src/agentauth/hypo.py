@@ -59,15 +59,6 @@ def action_scores(q: np.ndarray) -> np.ndarray:
     return 0.5 * (q + cum[idx - 1])
 
 
-def step_score(observed: int, q: np.ndarray) -> float:
-    q = np.asarray(q, dtype=np.float64)
-    if not 1 <= observed <= q.size:
-        raise ValueError(f"observed action {observed} out of range 1..{q.size}")
-    if abs(float(q.sum()) - 1.0) > 1e-9 or np.any(q < 0):
-        raise ValueError("q must be a probability vector")
-    return float(action_scores(q)[observed - 1])
-
-
 def step_distributions(server_actions, model: Pdt, steps: int) -> np.ndarray:
     """Model's conditional client-action distribution at each step, given the
     server actions strictly before it.  Shape (steps, n_actions)."""
@@ -174,18 +165,6 @@ def hypothesis_test(
         raise ValueError("alpha must be in (0, 1)")
     p = p_value(history, model, M, rng)
     return AuthVerdict(accept=p >= alpha, score=p, threshold=alpha, method="hypothesis")
-
-
-def incremental_p(history: InteractionHistory, model: Pdt) -> float:
-    """Fast normal-approximation p over a (possibly partial) transcript,
-    used as the per-step confidence signal during probe-policy training."""
-    if history.length < 1:
-        raise ValueError("need at least one step")
-    q = step_distributions(history.server_actions(), model, history.length)
-    scores = score_tables(q)
-    mean, variance = _analytic_moments(q, scores)
-    z = float(np.mean(observed_scores(scores, history.client_actions())))
-    return _normal_two_sided(z, mean, variance)
 
 
 def _normal_two_sided(z: float, mean: float, variance: float) -> float:

@@ -158,9 +158,8 @@ class Pdt:
 
     def action_distribution(self, opponent_history) -> np.ndarray:
         """Distribution over own next action given the opponent's action
-        history (only the last depth entries matter)."""
-        window = list(opponent_history)[-self.depth:]
-        return self._probs[self.node_index(window)]
+        history, a list or tuple (only its last depth entries matter)."""
+        return self._probs[self.node_index(opponent_history[-self.depth:])]
 
     def sample_action(self, opponent_history, rng: np.random.Generator) -> int:
         """Inverse-CDF draw in ascending action-index order."""

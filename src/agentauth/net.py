@@ -1,11 +1,12 @@
 """Networked protocol: two processes run the action exchange over TCP.
 
-Each step is a commit-reveal round: both sides send a hash commitment to
-their action before either reveals it, so neither can adapt to the other's
-current-step choice.  Frames are length-prefixed (32-bit big-endian length,
-one type byte, payload).  After the exchange the server runs the hypothesis
-test and returns its decision together with a key-confirmation tag; the key
-itself never crosses the wire.
+Both sides run engine.exchange, the in-process step loop, with one
+commit-reveal round (exchange_step) as the peer of each step: both sides
+send a hash commitment to their action before either reveals it, so neither
+can adapt to the other's current-step choice.  Frames are length-prefixed
+(32-bit big-endian length, one type byte, payload).  After the exchange the
+server runs the hypothesis test and returns its decision together with a
+key-confirmation tag; the key itself never crosses the wire.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agentauth.engine import InteractionHistory, confirmation_tag, derive_key
+from agentauth.engine import InteractionHistory, ProtocolViolation, exchange
+from agentauth.engine import confirmation_tag, derive_key
 from agentauth.hypo import DEFAULT_ALPHA, DEFAULT_MC_SAMPLES, hypothesis_test
 from agentauth.models import Pdt, PdtAgent
 
@@ -127,8 +129,9 @@ def commit_digest(action: int, nonce: bytes) -> bytes:
     return hashlib.sha256(bytes([action]) + nonce).digest()
 
 
-def exchange_step(sock: socket.socket, own_action: int, n_actions: int) -> int:
-    """One commit-reveal round; returns the peer's action.
+def exchange_step(sock: socket.socket, own_action: int) -> int:
+    """One commit-reveal round; returns the peer's action, which
+    engine.exchange checks against the action set.
 
     Ordering rule: our reveal is sent only after the peer's commitment has
     arrived, so a peer that stalls waiting for the plaintext never sees it.
@@ -147,8 +150,6 @@ def exchange_step(sock: socket.socket, own_action: int, n_actions: int) -> int:
     peer_action = reveal[0]
     if hashlib.sha256(reveal).digest() != peer_commit:
         raise ProtocolError("reveal does not match commitment")
-    if not 1 <= peer_action <= n_actions:
-        raise ProtocolError(f"peer action {peer_action} out of range 1..{n_actions}")
     return peer_action
 
 
@@ -218,7 +219,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             if model is None:
                 raise ProtocolError(f"unknown user {user_id!r}")
             self._run_session(sock, server, model, cfg)
-        except (FrameError, ProtocolError) as exc:
+        except (FrameError, ProtocolError, ProtocolViolation) as exc:
             log.warning(
                 "session with %s: %s: %r", self.client_address, type(exc).__name__, str(exc)
             )
@@ -240,14 +241,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             FRAME_PARAMS,
             PARAMS_STRUCT.pack(model.n_actions, cfg.l, model.depth, PROTOCOL_VERSION),
         )
-        client_hist: list[int] = []
-        steps = []
-        for _ in range(cfg.l + 1):
-            a_s = agent.next_action(tuple(client_hist), rng)
-            a_c = exchange_step(sock, a_s, model.n_actions)
-            steps.append((a_s, a_c))
-            client_hist.append(a_c)
-        history = InteractionHistory(steps=steps, n_actions=model.n_actions)
+        history = exchange(agent, lambda a, _: exchange_step(sock, a), cfg.l, rng, model.n_actions)
         verdict = hypothesis_test(history, model, cfg.alpha, cfg.mc_samples, rng)
         accept = verdict.accept or cfg.force_accept
         if accept:
@@ -293,14 +287,7 @@ def client_authenticate(
                 f"server params (n={n}, k={k}) do not match the client model "
                 f"(n={model.n_actions}, k={model.depth})"
             )
-        server_hist: list[int] = []
-        steps = []
-        for _ in range(l + 1):
-            a_c = agent.next_action(tuple(server_hist), rng)
-            a_s = exchange_step(sock, a_c, n)
-            steps.append((a_s, a_c))
-            server_hist.append(a_s)
-        history = InteractionHistory(steps=steps, n_actions=n)
+        history = exchange(agent, lambda a, _: exchange_step(sock, a), l, rng, n, role="client")
         ftype, payload = recv_frame(sock)
         _expect(ftype, FRAME_DECISION, payload)
         if not payload or payload[0] not in (0, 1):

@@ -164,7 +164,7 @@ class ProbeEnv:
     def step(self, server_action: int):
         if self._done:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        a_c = self._client.next_action(tuple(self._server_hist), self.rng)
+        a_c = self._client.next_action(self._server_hist, self.rng)
         self._running.update(server_action, a_c)
         reward = 1.0 - self._running.p
         self._server_hist.append(server_action)

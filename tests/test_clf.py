@@ -9,7 +9,6 @@ from agentauth.clf import (
     TrainConfig,
     accuracy,
     classifier_test,
-    decode_history,
     encode_history,
     generate_dataset,
     load_classifier,
@@ -19,6 +18,7 @@ from agentauth.clf import (
 from agentauth.engine import InteractionHistory, run_interaction
 from agentauth.models import PdtAgent, generate_random_pdt
 from agentauth.adv import make_random_adversary
+from oracles import decode_history
 
 
 class TestEncoding:

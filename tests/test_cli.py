@@ -66,6 +66,22 @@ class TestDeriveKey:
         printed = capsys.readouterr().out.strip()
         assert printed == derive_key(history, model).hex()
 
+    def test_out_of_range_action_refused(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        transcript_path = tmp_path / "t.jsonl"
+        save_pdt(generate_random_pdt(3, 2, 0.5, np.random.default_rng(6)), model_path)
+        transcript_path.write_text(
+            '{"n": 3, "l": 1}\n{"t": 0, "s": 1, "c": 2}\n{"t": 1, "s": 2, "c": 0}\n'
+        )
+        assert main([
+            "derive-key", "--model", str(model_path),
+            "--transcript", str(transcript_path),
+        ]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "outside 1..3" in captured.err
+
 
 class TestEvalAuth:
     def _run(self, tmp_path, name):

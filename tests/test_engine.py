@@ -9,6 +9,7 @@ from agentauth.engine import (
     ProtocolViolation,
     confirmation_tag,
     derive_key,
+    exchange,
     load_transcript,
     run_interaction,
     save_transcript,
@@ -113,6 +114,48 @@ class TestRunInteraction:
         assert np.mean(c_ent) < np.mean(s_ent)
 
 
+class TestExchange:
+    def test_client_role_returns_server_client_order(self):
+        seen = []
+
+        def peer(own, before):
+            seen.append(list(before))
+            return 3
+
+        h = exchange(FixedAgent(1), peer, 2, np.random.default_rng(0), 3, role="client")
+        assert h.steps == [(3, 1)] * 3
+        # the peer sees this side's actions strictly before the current step
+        assert seen == [[], [1], [1, 1]]
+
+    def test_invalid_peer_action_names_peer(self):
+        with pytest.raises(ProtocolViolation, match="server"):
+            exchange(FixedAgent(1), lambda a, _: 4, 1, np.random.default_rng(0), 3, role="client")
+
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match="l must be"):
+            exchange(FixedAgent(1), lambda a, _: 1, -1, np.random.default_rng(0), 3)
+
+
+class TestHistoryValidation:
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [(1, 2), (2, 0), (3, 1)],  # action 0 used to be scored as action n
+            [(1, 2), (4, 1)],
+            [(1, 2.0)],
+            [(1, "2")],
+            [(1, 2, 3)],
+        ],
+    )
+    def test_rejects_step_outside_action_set(self, steps):
+        with pytest.raises(ValueError):
+            InteractionHistory(steps, 3)
+
+    def test_accepts_valid_and_empty(self):
+        assert InteractionHistory([(1, 3), (3, 1)], 3).length == 2
+        assert InteractionHistory([], 3).length == 0
+
+
 class TestDeriveKey:
     def test_key_symmetry(self):
         rng = np.random.default_rng(8)
@@ -158,6 +201,12 @@ class TestTranscriptIO:
         loaded = load_transcript(path)
         assert loaded.steps == h.steps
         assert loaded.n_actions == 3
+
+    def test_action_out_of_range_rejected(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"n": 3, "l": 0}\n{"t": 0, "s": 1, "c": 0}\n')
+        with pytest.raises(ValueError, match="outside 1..3"):
+            load_transcript(path)
 
     def test_length_mismatch_detected(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -8,14 +8,13 @@ from agentauth.hypo import (
     RunningPValue,
     action_scores,
     hypothesis_test,
-    incremental_p,
     null_summary,
     p_value,
-    step_score,
 )
 from agentauth.hypo import test_statistic as statistic
 from agentauth.models import Pdt, PdtAgent, generate_random_pdt, node_count
 from agentauth.adv import make_random_adversary
+from oracles import incremental_p, step_score
 
 
 def literal_pdt(n, depth, row):

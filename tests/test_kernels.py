@@ -17,7 +17,6 @@ from agentauth.hypo import (
     _analytic_moments,
     _normal_two_sided,
     action_scores,
-    incremental_p,
     null_summary,
     p_value,
     score_tables,
@@ -32,6 +31,7 @@ from agentauth.models import (
     node_path,
 )
 from agentauth.rl import p_curve
+from oracles import incremental_p
 
 # ---------------------------------------------------------------- reference loops
 

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from agentauth.engine import ProtocolViolation, run_interaction
 from agentauth.models import PdtAgent, generate_random_pdt
 from agentauth.net import (
     FRAME_COMMIT,
@@ -205,6 +206,19 @@ class TestCommitRevealDiscipline:
         assert str(peer) in messages[0]
         assert "ProtocolError: 'reveal does not match commitment'" in messages[0]
 
+    def test_out_of_range_action_names_client(self, live_server):
+        _, addr = live_server
+        nonce = b"\x00" * 16
+        with self._handshake(addr) as sock:
+            recv_frame(sock)
+            # an honest commitment to an action outside 1..3
+            send_frame(sock, FRAME_COMMIT, commit_digest(4, nonce))
+            recv_frame(sock)
+            send_frame(sock, FRAME_REVEAL, bytes([4]) + nonce)
+            ftype, payload = recv_frame(sock)
+            assert ftype == FRAME_ERROR
+            assert payload == b"client produced invalid action 4"
+
     def test_no_reveal_before_peer_commit(self, live_server):
         _, addr = live_server
         with self._handshake(addr) as sock:
@@ -239,8 +253,11 @@ class TestHostilePeers:
             ServerConfig(l=l)
         assert ServerConfig(l=MAX_SESSION_LENGTH).l == MAX_SESSION_LENGTH
 
-    def test_client_refuses_huge_l_before_first_commit(self, models):
-        legit, _ = models
+    @staticmethod
+    def _frames_sent_by_failing_client(model, l, expected_error, match, client_agent=None):
+        """Everything a client of user "alice" sends to a one-shot server that
+        answers HELLO with PARAMS (n=3, k=2, the given l), given that the
+        client raises."""
         received = []
         with socket.create_server(("127.0.0.1", 0)) as listener:
             listener.settimeout(5.0)
@@ -250,19 +267,38 @@ class TestHostilePeers:
                 with conn:
                     conn.settimeout(5.0)
                     received.append(recv_frame(conn))
-                    params = PARAMS_STRUCT.pack(3, 2**32 - 1, 2, PROTOCOL_VERSION)
+                    params = PARAMS_STRUCT.pack(3, l, 2, PROTOCOL_VERSION)
                     send_frame(conn, FRAME_PARAMS, params)
                     while chunk := conn.recv(4096):  # everything until the client hangs up
                         received.append(chunk)
 
             thread = threading.Thread(target=one_shot_server)
             thread.start()
-            with pytest.raises(ProtocolError, match="above the limit"):
+            with pytest.raises(expected_error, match=match):
                 client_authenticate(
-                    listener.getsockname(), "alice", legit, np.random.default_rng(70)
+                    listener.getsockname(), "alice", model, np.random.default_rng(70),
+                    client_agent=client_agent,
                 )
             thread.join(timeout=5.0)
         assert not thread.is_alive()
+        return received
+
+    def test_client_refuses_huge_l_before_first_commit(self, models):
+        legit, _ = models
+        received = self._frames_sent_by_failing_client(
+            legit, 2**32 - 1, ProtocolError, "above the limit"
+        )
+        assert received == [(FRAME_HELLO, b"alice")]  # no COMMIT was ever sent
+
+    def test_client_refuses_own_invalid_action_before_sending_it(self, models):
+        class ZeroAgent:
+            def next_action(self, opponent_history, rng):
+                return 0
+
+        legit, _ = models
+        received = self._frames_sent_by_failing_client(
+            legit, 5, ProtocolViolation, "client", client_agent=ZeroAgent()
+        )
         assert received == [(FRAME_HELLO, b"alice")]  # no COMMIT was ever sent
 
     def test_silent_client_timeout_is_logged(self, models, caplog):
@@ -284,3 +320,31 @@ class TestHostilePeers:
         messages = [r.getMessage() for r in caplog.records if r.name == "agentauth.net"]
         assert len(messages) == 1
         assert str(peer) in messages[0] and "TimeoutError" in messages[0]
+
+
+class TestSameExchangeAsInProcess:
+    def test_tcp_session_equals_run_interaction(self, models):
+        # The server's session generator is the first child of SeedSequence(9);
+        # with the same generators the deployed path must give the in-process
+        # transcript step for step.
+        legit, server_model = models
+        config = ServerConfig(l=60, mc_samples=400, timeout=5.0, seed=9)
+        server = AmiServer(
+            ("127.0.0.1", 0), {"alice": legit}, lambda: PdtAgent(server_model), config
+        )
+        server.start_background()
+        try:
+            result = client_authenticate(
+                server.server_address, "alice", legit, np.random.default_rng(5)
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        expected = run_interaction(
+            PdtAgent(server_model),
+            PdtAgent(legit),
+            60,
+            np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0]),
+            np.random.default_rng(5),
+        )
+        assert result.history.steps == expected.steps
