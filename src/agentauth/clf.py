@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from agentauth.engine import InteractionHistory, run_interaction
+from agentauth.engine import InteractionHistory, run_pdt_sessions
 from agentauth.hypo import AuthVerdict
 from agentauth.models import Pdt
 
@@ -37,14 +37,18 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
 
 
+def encode_actions(actions, n_actions: int) -> np.ndarray:
+    """One-hot rows for a (B, steps, 2) array of actions in 1..n: per step,
+    the server's block of n then the client's, so row b has 2 * steps * n
+    entries."""
+    actions = np.asarray(actions)
+    return np.eye(n_actions)[actions - 1].reshape(len(actions), -1)
+
+
 def encode_history(history: InteractionHistory) -> np.ndarray:
-    """One-hot encoding, per step: server block then client block."""
-    n = history.n_actions
-    v = np.zeros(2 * history.length * n)
-    for t, (a_s, a_c) in enumerate(history.steps):
-        v[2 * t * n + (a_s - 1)] = 1.0
-        v[(2 * t + 1) * n + (a_c - 1)] = 1.0
-    return v
+    """encode_actions of one transcript."""
+    steps = np.asarray(history.steps, dtype=np.int64).reshape(1, -1, 2)
+    return encode_actions(steps, history.n_actions)[0]
 
 
 @dataclass
@@ -68,22 +72,24 @@ def generate_dataset(
     cfg.n_adv sessions each vs a freshly built adversary, shuffled and split
     train / held-out.  Every adversarial transcript gets its own adversary, so
     no adversary model is shared between the splits.
-    """
-    from agentauth.models import PdtAgent
 
-    xs, ys = [], []
-    server_agent = PdtAgent(server)
-    legit_agent = PdtAgent(legit)
-    for _ in range(cfg.n_legit):
-        h = run_interaction(server_agent, legit_agent, l, rng, rng)
-        xs.append(encode_history(h))
-        ys.append(1.0)
+    adversary_factory(rng) must return a PdtAgent (TypeError otherwise) of
+    the legitimate model's n and depth.  All sessions run as one
+    engine.run_pdt_sessions batch, with the generator drawn in the order of
+    one run_interaction call per session, so the dataset and the generator's
+    state afterwards are those of that scalar loop.
+    """
+    uniforms = [rng.random((cfg.n_legit, l + 1, 2))]
+    clients = [legit] * cfg.n_legit
     for _ in range(cfg.n_adv):
-        h = run_interaction(server_agent, adversary_factory(rng), l, rng, rng)
-        xs.append(encode_history(h))
-        ys.append(0.0)
-    x = np.stack(xs)
-    y = np.array(ys)
+        pdt = getattr(adversary_factory(rng), "pdt", None)
+        if not isinstance(pdt, Pdt):
+            raise TypeError("adversary_factory must return a PdtAgent")
+        clients.append(pdt)
+        uniforms.append(rng.random((1, l + 1, 2)))
+    actions = run_pdt_sessions(server, clients, np.concatenate(uniforms))
+    x = encode_actions(actions, server.n_actions)
+    y = np.repeat([1.0, 0.0], [cfg.n_legit, cfg.n_adv])
     perm = rng.permutation(len(y))
     x, y = x[perm], y[perm]
     n_test = max(1, int(round(holdout_frac * len(y))))

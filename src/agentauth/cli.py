@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from agentauth import adv, clf, hypo, net, rl
-from agentauth.engine import derive_key, load_transcript, run_interaction
+from agentauth.engine import derive_key, load_transcript, run_interaction, run_pdt_sessions
 from agentauth.models import Pdt, PdtAgent, generate_random_pdt, load_pdt, save_pdt
 
 EXPERIMENT_DEFAULTS = {
@@ -90,10 +90,9 @@ def make_metric_client(metric, server, legit, cfg, l, rng):
 
 
 def fit_mle_client(server, legit, cfg, l, rng, observed: int = 100):
-    transcripts = [
-        run_interaction(PdtAgent(server), PdtAgent(legit), l, rng, rng)
-        for _ in range(observed)
-    ]
+    """MLE imitation of the legitimate client from `observed` sessions, run
+    as one batch that draws rng as one run_interaction per session would."""
+    transcripts = run_pdt_sessions(server, [legit] * observed, rng.random((observed, l + 1, 2)))
     return adv.make_mle_adversary(transcripts, cfg["n"], cfg["k"])
 
 
@@ -322,11 +321,13 @@ def cmd_client(args) -> int:
 
 
 def cmd_derive_key(args) -> int:
-    model = load_pdt(args.model)
+    path = args.model
     try:
-        history = load_transcript(args.transcript)
-    except (KeyError, ValueError) as exc:
-        message = f"{args.transcript}: {type(exc).__name__}: {exc}"
+        model = load_pdt(path)
+        path = args.transcript
+        history = load_transcript(path)
+    except (OSError, KeyError, ValueError) as exc:
+        message = f"{path}: {type(exc).__name__}: {exc}"
         print(f"agentauth derive-key: {message}", file=sys.stderr)
         return 1
     print(derive_key(history, model).hex())

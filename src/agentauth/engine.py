@@ -1,12 +1,19 @@
 """Interaction engine: run the l-step action exchange between two agents and
-derive a shared session key from the resulting transcript."""
+derive a shared session key from the resulting transcript.
+
+`exchange` is the one step loop of a live session.  `run_pdt_sessions` runs
+many PDT-vs-PDT sessions in lock step for dataset generation.  It takes its
+uniforms as u[b, t, 0] (server) and u[b, t, 1] (client), the order in which
+back-to-back `run_interaction` calls with `PdtAgent`s draw them from one
+generator, and it samples exactly as `Pdt.sample_action` does; so batching
+changes neither a dataset nor the generator's stream."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -35,6 +42,8 @@ class InteractionHistory:
 
     def __post_init__(self):
         n = self.n_actions
+        if not (isinstance(n, int) and n >= 2):
+            raise ValueError(f"n_actions must be an int >= 2, got {n!r}")
         for s, c in self.steps:
             if not (isinstance(s, int) and isinstance(c, int) and 0 < s <= n and 0 < c <= n):
                 raise ValueError(f"step {(s, c)} has an action outside 1..{n}")
@@ -96,6 +105,60 @@ def run_interaction(
     return exchange(server, lambda _, seen: client.next_action(seen, rng_c), l, rng_s, n_actions)
 
 
+def run_pdt_sessions(server: Pdt, clients: Sequence[Pdt], u: np.ndarray) -> np.ndarray:
+    """Run len(clients) PDT-vs-PDT sessions in lock step; returns their actions
+    as an int array of shape (B, l+1, 2), in (server, client) order.
+
+    u[b, t, 0] and u[b, t, 1] are the server's and the client's uniforms at
+    step t of session b.  Each draw is Pdt.sample_action's inverse CDF, so
+    u = rng.random((B, l+1, 2)) gives, bit for bit, the transcripts of B
+    back-to-back run_interaction(PdtAgent(server), PdtAgent(clients[b]), l,
+    rng, rng) calls.  The clients must share n and depth; the server must
+    share n with them.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    batch = len(clients)
+    if batch == 0 or u.ndim != 3 or u.shape[0] != batch or u.shape[1] == 0 or u.shape[2] != 2:
+        raise ValueError(f"need one or more clients and u of shape ({batch}, l+1, 2)")
+    n = server.n_actions
+    depth = clients[0].depth
+    if any(c.n_actions != n or c.depth != depth for c in clients):
+        raise ValueError("clients must share the server's n and one depth")
+    # One stacked table: the server's rows, then each distinct client's.
+    distinct = list({id(c): c for c in clients}.values())
+    slot = {id(c): i for i, c in enumerate(distinct)}
+    table = np.concatenate([server._probs] + [c._probs for c in distinct])
+    client_base = server.num_nodes + distinct[0].num_nodes * np.array([slot[id(c)] for c in clients])
+    base = np.stack([np.zeros(batch, np.int64), client_base])
+    # Row 0 is the server side, row 1 the client side.  A side's node is
+    # offset[min(t, depth)] plus the base-n code of the opponent's last depth
+    # actions, kept mod n^depth.
+    depths = np.array([[server.depth], [depth]])
+    modulus = n**depths
+    code = np.zeros((2, batch), dtype=np.int64)
+    steps = u.shape[1]
+    uniforms = np.ascontiguousarray(u.transpose(1, 2, 0))[..., None]
+    actions = np.empty((steps, 2, batch), dtype=np.int64)
+    node = np.empty((2, batch), dtype=np.int64)
+    probs = np.empty((2, batch, n))
+    cdf = np.empty((2, batch, n))
+    below = np.empty((2, batch, n - 1), dtype=bool)
+    for t in range(steps):
+        if t <= depths.max():
+            start = base + (n ** np.minimum(t, depths) - 1) // (n - 1)
+        np.add(start, code, out=node)
+        table.take(node, axis=0, out=probs)
+        np.add.accumulate(probs, axis=2, out=cdf)  # np.cumsum without its wrapper
+        # How many of the first n-1 CDF values are <= u: searchsorted(u,
+        # "right") clipped at n-1, as in Pdt.sample_action.
+        np.less_equal(cdf[..., :-1], uniforms[t], out=below)
+        np.add.reduce(below, axis=2, out=actions[t])
+        code *= n
+        code += actions[t, ::-1]
+        code %= modulus
+    return np.ascontiguousarray(actions.transpose(2, 0, 1)) + 1
+
+
 def derive_key(history: InteractionHistory, model: Pdt) -> bytes:
     """32-byte session key from a transcript and a decision model.
 
@@ -137,8 +200,8 @@ def load_transcript(path) -> InteractionHistory:
         raise ValueError(f"empty transcript file: {path}")
     header, rows = lines[0], lines[1:]
     steps = [(row["s"], row["c"]) for row in rows]
-    if len(steps) != header["l"] + 1:
+    if header["l"] != len(steps) - 1:
         raise ValueError(
-            f"transcript has {len(steps)} steps but header declares l={header['l']}"
+            f"transcript has {len(steps)} steps but header declares l={header['l']!r}"
         )
     return InteractionHistory(steps=steps, n_actions=header["n"])

@@ -174,6 +174,12 @@ class ServerConfig:
         # configured with one could complete no session at all.
         if not 0 <= self.l <= MAX_SESSION_LENGTH:
             raise ValueError(f"l must be in 0..{MAX_SESSION_LENGTH}, got {self.l}")
+        # Checked here, not only by hypothesis_test, so that a bad value stops
+        # the server at start-up instead of failing every session at its end.
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not (isinstance(self.mc_samples, int) and self.mc_samples >= 1):
+            raise ValueError(f"mc_samples must be an int >= 1, got {self.mc_samples!r}")
 
 
 class AmiServer(socketserver.ThreadingTCPServer):

@@ -3,7 +3,8 @@ so the program's vectorised code can be checked against it."""
 
 import numpy as np
 
-from agentauth.engine import InteractionHistory
+from agentauth.clf import Dataset, encode_history
+from agentauth.engine import InteractionHistory, run_interaction
 from agentauth.hypo import (
     _analytic_moments,
     _normal_two_sided,
@@ -12,6 +13,7 @@ from agentauth.hypo import (
     score_tables,
     step_distributions,
 )
+from agentauth.models import PdtAgent
 
 
 def step_score(observed: int, q) -> float:
@@ -46,3 +48,26 @@ def decode_history(vector, n_actions: int) -> InteractionHistory:
         for srv, cli in vector.reshape(-1, 2, n_actions)
     ]
     return InteractionHistory(steps=steps, n_actions=n_actions)
+
+
+def generate_dataset(server, legit, adversary_factory, cfg, l, rng, holdout_frac=0.1):
+    """clf.generate_dataset as one scalar run_interaction per session."""
+    xs, ys = [], []
+    server_agent = PdtAgent(server)
+    legit_agent = PdtAgent(legit)
+    for _ in range(cfg.n_legit):
+        h = run_interaction(server_agent, legit_agent, l, rng, rng)
+        xs.append(encode_history(h))
+        ys.append(1.0)
+    for _ in range(cfg.n_adv):
+        h = run_interaction(server_agent, adversary_factory(rng), l, rng, rng)
+        xs.append(encode_history(h))
+        ys.append(0.0)
+    x = np.stack(xs)
+    y = np.array(ys)
+    perm = rng.permutation(len(y))
+    x, y = x[perm], y[perm]
+    n_test = max(1, int(round(holdout_frac * len(y))))
+    return Dataset(
+        x_train=x[n_test:], y_train=y[n_test:], x_test=x[:n_test], y_test=y[:n_test]
+    )

@@ -9,6 +9,7 @@ from agentauth.clf import (
     TrainConfig,
     accuracy,
     classifier_test,
+    encode_actions,
     encode_history,
     generate_dataset,
     load_classifier,
@@ -17,7 +18,8 @@ from agentauth.clf import (
 )
 from agentauth.engine import InteractionHistory, run_interaction
 from agentauth.models import PdtAgent, generate_random_pdt
-from agentauth.adv import make_random_adversary
+from agentauth.adv import make_random_adversary, make_replay_adversary
+import oracles
 from oracles import decode_history
 
 
@@ -41,6 +43,12 @@ class TestEncoding:
         c = generate_random_pdt(4, 2, 0.5, rng)
         h = run_interaction(PdtAgent(s), PdtAgent(c), 9, rng, rng)
         assert decode_history(encode_history(h), 4).steps == h.steps
+
+    def test_batch_rows_equal_one_row_encodings(self):
+        rng = np.random.default_rng(2)
+        actions = rng.integers(1, 4, size=(5, 7, 2))
+        rows = [encode_history(InteractionHistory([tuple(map(int, s)) for s in a], 3)) for a in actions]
+        assert np.array_equal(encode_actions(actions, 3), np.stack(rows))
 
 
 class TestMlp:
@@ -163,6 +171,50 @@ class TestDataset:
         ds = generate_dataset(s, u, lambda rg: PdtAgent(u), cfg, 30, rng)
         model = train_classifier(ds, cfg)
         assert 0.3 <= accuracy(model, ds.x_test, ds.y_test) <= 0.7
+
+
+class TestDatasetEqualsScalarLoop:
+    @staticmethod
+    def _both(factory, cfg, l, seed):
+        rng = np.random.default_rng(seed)
+        s = generate_random_pdt(3, 3, 1.0, rng)
+        u = generate_random_pdt(3, 3, 0.1, rng)
+        batched, scalar = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = generate_dataset(s, u, factory(u), cfg, l, batched)
+        want = oracles.generate_dataset(s, u, factory(u), cfg, l, scalar)
+        return got, want, batched, scalar
+
+    @pytest.mark.parametrize("l", [0, 1, 40])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda u: lambda rg: make_random_adversary(3, 3, 0.1, rg),
+            lambda u: lambda rg: PdtAgent(u),
+        ],
+        ids=["random", "self"],
+    )
+    def test_byte_equal_with_same_generator_state(self, factory, l):
+        cfg = TrainConfig(n_legit=13, n_adv=11)
+        got, want, batched, scalar = self._both(factory, cfg, l, 30 + l)
+        for name in ("x_train", "y_train", "x_test", "y_test"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_adversary_of_other_depth_refused(self):
+        cfg = TrainConfig(n_legit=2, n_adv=2)
+        with pytest.raises(ValueError):
+            self._both(lambda u: lambda rg: make_random_adversary(3, 2, 0.1, rg), cfg, 5, 1)
+
+    def test_non_pdt_factory_refused(self):
+        rng = np.random.default_rng(2)
+        s = generate_random_pdt(3, 3, 1.0, rng)
+        u = generate_random_pdt(3, 3, 0.1, rng)
+        recorded = run_interaction(PdtAgent(s), PdtAgent(u), 5, rng, rng)
+        cfg = TrainConfig(n_legit=2, n_adv=2)
+        with pytest.raises(TypeError):
+            generate_dataset(s, u, lambda rg: make_replay_adversary(recorded), cfg, 5, rng)
 
 
 class TestClassifierTest:

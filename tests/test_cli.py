@@ -1,11 +1,13 @@
 import csv
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from agentauth.cli import EXPERIMENT_DEFAULTS, LENGTH_SWEEP_GRID, main
+from agentauth import adv
+from agentauth.cli import EXPERIMENT_DEFAULTS, LENGTH_SWEEP_GRID, fit_mle_client, main
 from agentauth.engine import derive_key, run_interaction, save_transcript
 from agentauth.models import PdtAgent, generate_random_pdt, load_pdt, node_count, save_pdt
 
@@ -81,6 +83,52 @@ class TestDeriveKey:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "outside 1..3" in captured.err
+
+    @staticmethod
+    def _refused(model_path, transcript_path, capsys, needle):
+        assert main([
+            "derive-key", "--model", str(model_path),
+            "--transcript", str(transcript_path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert needle in captured.err
+
+    def test_model_missing_field_refused(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        save_pdt(generate_random_pdt(3, 2, 0.5, np.random.default_rng(6)), model_path)
+        header, body = model_path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        del doc["n_actions"]
+        model_path.write_bytes(json.dumps(doc).encode() + b"\n" + body)
+        transcript_path = tmp_path / "t.jsonl"
+        transcript_path.write_text('{"n": 3, "l": 0}\n{"t": 0, "s": 1, "c": 2}\n')
+        self._refused(model_path, transcript_path, capsys, "n_actions")
+
+    @pytest.mark.parametrize(
+        "header, needle", [('{"n": "3", "l": 0}', "n_actions"), ('{"n": 3, "l": "0"}', "l='0'")]
+    )
+    def test_non_integer_header_refused(self, tmp_path, capsys, header, needle):
+        model_path = tmp_path / "model.json"
+        save_pdt(generate_random_pdt(3, 2, 0.5, np.random.default_rng(6)), model_path)
+        transcript_path = tmp_path / "t.jsonl"
+        transcript_path.write_text(header + '\n{"t": 0, "s": 1, "c": 2}\n')
+        self._refused(model_path, transcript_path, capsys, needle)
+
+
+class TestFitMleClient:
+    def test_equals_scalar_loop(self):
+        rng = np.random.default_rng(12)
+        server = generate_random_pdt(3, 3, 1.0, rng)
+        legit = generate_random_pdt(3, 3, 0.1, rng)
+        cfg = {"n": 3, "k": 3}
+        batched, scalar = np.random.default_rng(13), np.random.default_rng(13)
+        got = fit_mle_client(server, legit, cfg, 30, batched)
+        seen = [run_interaction(PdtAgent(server), PdtAgent(legit), 30, scalar, scalar) for _ in range(100)]
+        want = adv.make_mle_adversary(seen, 3, 3)
+        assert got.pdt.nodes.tobytes() == want.pdt.nodes.tobytes()
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 class TestEvalAuth:
@@ -213,6 +261,29 @@ class TestServeClient:
         assert proc.returncode != 0
         assert "listening on" not in proc.stdout
         assert "l must be" in proc.stderr
+
+    def test_serve_refuses_alpha_outside_unit_interval(self, tmp_path):
+        rng = np.random.default_rng(9)
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        save_pdt(generate_random_pdt(3, 2, 0.3, rng), registry / "alice.json")
+        save_pdt(generate_random_pdt(3, 2, 1.0, rng), tmp_path / "server.json")
+        proc = subprocess.run(
+            [
+                sys.executable, "-u", "-m", "agentauth.cli", "serve",
+                "--listen", "127.0.0.1:0",
+                "--registry", str(registry),
+                "--server-model", str(tmp_path / "server.json"),
+                "--alpha", "1.5",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "listening on" not in proc.stdout
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "alpha must be" in proc.stderr
 
     def test_accept_and_reject_exit_codes(self, setup, tmp_path):
         registry, port = setup

@@ -12,9 +12,10 @@ from agentauth.engine import (
     exchange,
     load_transcript,
     run_interaction,
+    run_pdt_sessions,
     save_transcript,
 )
-from agentauth.models import Pdt, PdtAgent, generate_random_pdt, node_count
+from agentauth.models import Pdt, PdtAgent, fit_mle_pdt, generate_random_pdt, node_count
 
 
 class FixedAgent:
@@ -136,6 +137,82 @@ class TestExchange:
             exchange(FixedAgent(1), lambda a, _: 1, -1, np.random.default_rng(0), 3)
 
 
+class UniformFeed:
+    """Stands in for a generator: random() returns the given uniforms in order."""
+
+    def __init__(self, u):
+        self._values = iter(np.asarray(u, dtype=float).ravel().tolist())
+
+    def random(self):
+        return next(self._values)
+
+
+def scalar_sessions(server, clients, u):
+    """One run_interaction per client, fed u[b] step by step: server, then client."""
+    feed = UniformFeed(u)
+    return np.array([
+        run_interaction(PdtAgent(server), PdtAgent(c), u.shape[1] - 1, feed, feed).steps
+        for c in clients
+    ])
+
+
+class TestRunPdtSessions:
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    @pytest.mark.parametrize("l", [0, 1, 200])
+    def test_equals_back_to_back_run_interaction(self, n, l):
+        rng = np.random.default_rng(100 * n + l)
+        server = generate_random_pdt(n, 2, 1.0, rng)  # shallower than the clients
+        a, b = (generate_random_pdt(n, 3, 0.3, rng) for _ in range(2))
+        clients = [a, b, a, a, b]  # mixed and repeated
+        batched, scalar = np.random.default_rng(7), np.random.default_rng(7)
+        actions = run_pdt_sessions(server, clients, batched.random((5, l + 1, 2)))
+        expected = [
+            run_interaction(PdtAgent(server), PdtAgent(c), l, scalar, scalar).steps
+            for c in clients
+        ]
+        assert actions.shape == (5, l + 1, 2)
+        assert actions.tolist() == [[list(step) for step in h] for h in expected]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_single_session_deeper_server(self):
+        rng = np.random.default_rng(8)
+        server = generate_random_pdt(3, 5, 1.0, rng)
+        client = generate_random_pdt(3, 1, 0.5, rng)
+        u = rng.random((1, 60, 2))
+        assert np.array_equal(run_pdt_sessions(server, [client], u), scalar_sessions(server, [client], u))
+
+    def test_literal_tree_with_cdf_ties(self):
+        # An MLE fit of a few short sessions has rows with exact zeros (equal
+        # CDF entries) and uniform rows; the uniforms sit on those CDF values.
+        rng = np.random.default_rng(9)
+        server = generate_random_pdt(3, 2, 1.0, rng)
+        legit = generate_random_pdt(3, 2, 0.1, rng)
+        seen = [run_interaction(PdtAgent(server), PdtAgent(legit), 6, rng, rng) for _ in range(4)]
+        mle = fit_mle_pdt(3, 2, seen)
+        assert (mle.nodes == 0).any()
+        edges = [0.0, 1 / 3, 1 / 3 + 1 / 3, 0.5, 0.25, 0.75, 1.0, np.nextafter(1.0, 0.0)]
+        u = rng.choice(edges, size=(6, 40, 2))
+        clients = [mle, legit, mle, mle, legit, mle]
+        assert np.array_equal(run_pdt_sessions(mle, clients, u), scalar_sessions(mle, clients, u))
+
+    def test_clients_must_share_n_and_depth(self):
+        rng = np.random.default_rng(10)
+        server = generate_random_pdt(3, 2, 1.0, rng)
+        u = rng.random((2, 5, 2))
+        for other in (generate_random_pdt(3, 3, 0.5, rng), generate_random_pdt(4, 2, 0.5, rng)):
+            with pytest.raises(ValueError):
+                run_pdt_sessions(server, [generate_random_pdt(3, 2, 0.5, rng), other], u)
+        with pytest.raises(ValueError):
+            run_pdt_sessions(server, [generate_random_pdt(4, 2, 0.5, rng)] * 2, u)
+
+    def test_uniforms_must_match_the_batch(self):
+        rng = np.random.default_rng(11)
+        server = generate_random_pdt(3, 2, 1.0, rng)
+        for shape in [(3, 5, 2), (2, 5), (2, 0, 2), (2, 5, 3)]:
+            with pytest.raises(ValueError):
+                run_pdt_sessions(server, [server, server], np.zeros(shape))
+
+
 class TestHistoryValidation:
     @pytest.mark.parametrize(
         "steps",
@@ -150,6 +227,11 @@ class TestHistoryValidation:
     def test_rejects_step_outside_action_set(self, steps):
         with pytest.raises(ValueError):
             InteractionHistory(steps, 3)
+
+    @pytest.mark.parametrize("n", ["3", 3.0, 1, None])
+    def test_rejects_bad_n_actions(self, n):
+        with pytest.raises(ValueError, match="n_actions"):
+            InteractionHistory([(1, 1)], n)
 
     def test_accepts_valid_and_empty(self):
         assert InteractionHistory([(1, 3), (3, 1)], 3).length == 2

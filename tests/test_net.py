@@ -253,6 +253,16 @@ class TestHostilePeers:
             ServerConfig(l=l)
         assert ServerConfig(l=MAX_SESSION_LENGTH).l == MAX_SESSION_LENGTH
 
+    @pytest.mark.parametrize(
+        "field, value", [("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5), ("alpha", float("nan")),
+                         ("mc_samples", 0), ("mc_samples", -5), ("mc_samples", 10.0)],
+    )
+    def test_server_refuses_test_parameters_no_session_could_use(self, field, value):
+        # A bad alpha or M used to pass here and fail every session after its
+        # last round, inside hypothesis_test.
+        with pytest.raises(ValueError, match=field):
+            ServerConfig(**{field: value})
+
     @staticmethod
     def _frames_sent_by_failing_client(model, l, expected_error, match, client_agent=None):
         """Everything a client of user "alice" sends to a one-shot server that
