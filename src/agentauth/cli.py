@@ -31,7 +31,6 @@ EXPERIMENT_DEFAULTS = {
         "tau_server": 1.0,
         "tau_client": 0.1,
         "alpha": 0.1,
-        "mc_samples": 1000,
         "trials": 100,
     },
     "clf": {
@@ -41,7 +40,6 @@ EXPERIMENT_DEFAULTS = {
         "tau_server": 1.0,
         "tau_client": 0.1,
         "alpha": 0.1,
-        "mc_samples": 1000,
         "trials": 100,
     },
     "probe": {
@@ -51,13 +49,14 @@ EXPERIMENT_DEFAULTS = {
         "tau_server": 1.0,
         "tau_client": 0.5,
         "alpha": 0.1,
-        "mc_samples": 1000,
         "trials": 100,
     },
 }
 
 LENGTH_SWEEP_GRID = [10, 25, 50, 100, 200]
 METRICS = ["legit", "random", "replay", "mle"]
+# What reading a model or transcript file raises for a missing or malformed file.
+_LOAD_ERRORS = (OSError, KeyError, ValueError)
 
 
 def load_config(path, experiment: str, overrides: dict) -> dict:
@@ -104,7 +103,7 @@ def metric_accuracy(metric, server, legit, cfg, l, trials, rng, test_fn) -> floa
     for _ in range(trials):
         client = mle_client or make_metric_client(metric, server, legit, cfg, l, rng)
         history = run_interaction(PdtAgent(server), client, l, rng, rng)
-        verdict = test_fn(history, rng)
+        verdict = test_fn(history)
         if verdict.accept == (metric == "legit"):
             correct += 1
     return correct / trials
@@ -134,33 +133,19 @@ def cmd_eval_auth(args) -> int:
     cfg = load_config(args.config, "hypo", _dim_overrides(args))
     server, legit = _load_or_generate(args, cfg)
     trials = args.trials or cfg["trials"]
-    l = cfg["l"]
     rng = np.random.default_rng(args.seed)
-
-    def hypo_test(history, trial_rng):
-        return hypo.hypothesis_test(
-            history, legit, cfg["alpha"], cfg["mc_samples"], trial_rng
-        )
-
-    tests = {"hypo": hypo_test}
+    tests = {"hypo": lambda history: hypo.hypothesis_test(history, legit, cfg["alpha"])}
     if args.classifier:
         model = clf.load_classifier(args.classifier)
-        tests["clf"] = lambda history, _rng: clf.classifier_test(model, history)
+        tests["clf"] = lambda history: clf.classifier_test(model, history)
+    fields = ["test", "metric", "trials", "accuracy", "seed"]
     rows = []
     for test_name, test_fn in tests.items():
         for metric in METRICS:
-            acc = metric_accuracy(metric, server, legit, cfg, l, trials, rng, test_fn)
-            rows.append(
-                {
-                    "test": test_name,
-                    "metric": metric,
-                    "trials": trials,
-                    "accuracy": acc,
-                    "seed": args.seed,
-                }
-            )
+            acc = metric_accuracy(metric, server, legit, cfg, cfg["l"], trials, rng, test_fn)
+            rows.append(dict(zip(fields, (test_name, metric, trials, acc, args.seed))))
             print(f"{test_name:5s} {metric:7s} accuracy={acc:.3f}")
-    write_csv(args.out, ["test", "metric", "trials", "accuracy", "seed"], rows)
+    write_csv(args.out, fields, rows)
     return 0
 
 
@@ -170,26 +155,17 @@ def cmd_length_sweep(args) -> int:
     trials = args.trials or cfg["trials"]
     rng = np.random.default_rng(args.seed)
 
+    def test_fn(history):
+        return hypo.hypothesis_test(history, legit, cfg["alpha"])
+
+    fields = ["l", "metric", "trials", "accuracy", "seed"]
     rows = []
     for l in args.grid or LENGTH_SWEEP_GRID:
-        def test_fn(history, trial_rng):
-            return hypo.hypothesis_test(
-                history, legit, cfg["alpha"], cfg["mc_samples"], trial_rng
-            )
-
         for metric in METRICS:
             acc = metric_accuracy(metric, server, legit, cfg, l, trials, rng, test_fn)
-            rows.append(
-                {
-                    "l": l,
-                    "metric": metric,
-                    "trials": trials,
-                    "accuracy": acc,
-                    "seed": args.seed,
-                }
-            )
+            rows.append(dict(zip(fields, (l, metric, trials, acc, args.seed))))
             print(f"l={l:4d} {metric:7s} accuracy={acc:.3f}")
-    write_csv(args.out, ["l", "metric", "trials", "accuracy", "seed"], rows)
+    write_csv(args.out, fields, rows)
     return 0
 
 
@@ -231,52 +207,33 @@ def cmd_eval_probe(args) -> int:
         "trained-eps0.25": lambda: rl.PolicyAgent(policy, legit, rl.MODE_EPS_GREEDY),
         "uniform": lambda: rl.UniformAgent(legit.n_actions),
     }
+    fields = ["series", "step", "mean_p", "stderr_p", "seed"]
     rows = []
     for label, factory in modes.items():
-        res = rl.evaluate_policy(
-            factory, population, legit, cfg["l"], cfg["mc_samples"], rng
-        )
+        res = rl.evaluate_policy(factory, population, legit, cfg["l"], rng)
         for t in range(cfg["l"]):
-            rows.append(
-                {
-                    "series": label,
-                    "step": t + 1,
-                    "mean_p": res.mean_p[t],
-                    "stderr_p": res.stderr_p[t],
-                    "seed": args.seed,
-                }
-            )
+            values = (label, t + 1, res.mean_p[t], res.stderr_p[t], args.seed)
+            rows.append(dict(zip(fields, values)))
         print(f"{label:16s} final mean p = {res.mean_p[-1]:.3f}")
-    write_csv(args.out, ["series", "step", "mean_p", "stderr_p", "seed"], rows)
+    write_csv(args.out, fields, rows)
     if args.replay_out:
-        replay_rows = []
+        fields = ["series", "trials", "mean_final_p", "reject_rate", "seed"]
+        rows = []
         for label, mode in [
             ("trained-greedy", rl.MODE_GREEDY),
             ("trained-eps0.25", rl.MODE_EPS_GREEDY),
             ("uniform", rl.MODE_UNIFORM),
         ]:
             finals, reject_rate = rl.evaluate_replay(
-                policy, legit, mode, args.trials, cfg["l"], cfg["mc_samples"], rng,
-                alpha=cfg["alpha"],
+                policy, legit, mode, args.trials, cfg["l"], rng, alpha=cfg["alpha"]
             )
-            replay_rows.append(
-                {
-                    "series": label,
-                    "trials": args.trials,
-                    "mean_final_p": float(finals.mean()),
-                    "reject_rate": reject_rate,
-                    "seed": args.seed,
-                }
-            )
+            values = (label, args.trials, float(finals.mean()), reject_rate, args.seed)
+            rows.append(dict(zip(fields, values)))
             print(
                 f"replay {label:16s} mean final p = {finals.mean():.3f} "
                 f"reject rate = {reject_rate:.2f}"
             )
-        write_csv(
-            args.replay_out,
-            ["series", "trials", "mean_final_p", "reject_rate", "seed"],
-            replay_rows,
-        )
+        write_csv(args.replay_out, fields, rows)
     return 0
 
 
@@ -287,13 +244,19 @@ def cmd_serve(args) -> int:
         print(f"invalid server configuration: {exc}", file=sys.stderr)
         return 1
     registry = {}
-    for name in os.listdir(args.registry):
-        if name.endswith(".json"):
-            registry[name[:-5]] = load_pdt(os.path.join(args.registry, name))
+    path = args.registry
+    try:
+        for name in os.listdir(args.registry):
+            if name.endswith(".json"):
+                path = os.path.join(args.registry, name)
+                registry[name[:-5]] = load_pdt(path)
+        path = args.server_model
+        server_model = load_pdt(path)
+    except _LOAD_ERRORS as exc:
+        return _load_failed("serve", path, exc)
     if not registry:
         print(f"no model files in registry directory {args.registry}", file=sys.stderr)
         return 1
-    server_model = load_pdt(args.server_model)
     host, port = _parse_addr(args.listen)
     server = net.AmiServer(
         (host, port), registry, lambda: PdtAgent(server_model), config
@@ -307,7 +270,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_client(args) -> int:
-    model = load_pdt(args.model)
+    try:
+        model = load_pdt(args.model)
+    except _LOAD_ERRORS as exc:
+        return _load_failed("client", args.model, exc)
     rng = np.random.default_rng(args.seed)
     result = net.client_authenticate(_parse_addr(args.connect), args.user, model, rng)
     if not result.accepted:
@@ -326,12 +292,15 @@ def cmd_derive_key(args) -> int:
         model = load_pdt(path)
         path = args.transcript
         history = load_transcript(path)
-    except (OSError, KeyError, ValueError) as exc:
-        message = f"{path}: {type(exc).__name__}: {exc}"
-        print(f"agentauth derive-key: {message}", file=sys.stderr)
-        return 1
+    except _LOAD_ERRORS as exc:
+        return _load_failed("derive-key", path, exc)
     print(derive_key(history, model).hex())
     return 0
+
+
+def _load_failed(command: str, path, exc: Exception) -> int:
+    print(f"agentauth {command}: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
 
 
 def _load_or_generate(args, cfg):
@@ -343,7 +312,7 @@ def _load_or_generate(args, cfg):
 
 
 def _dim_overrides(args) -> dict:
-    keys = ("n", "k", "l", "tau_server", "tau_client", "alpha", "mc_samples")
+    keys = ("n", "k", "l", "tau_server", "tau_client", "alpha")
     return {k: getattr(args, k, None) for k in keys}
 
 
@@ -365,7 +334,6 @@ def _add_common(p, out_required=True):
         ("--tau-server", float),
         ("--tau-client", float),
         ("--alpha", float),
-        ("--mc-samples", int),
     ]:
         p.add_argument(flag, type=typ, dest=flag[2:].replace("-", "_"))
 

@@ -3,15 +3,15 @@
 The null hypothesis is that the observed transcript was generated by the
 shared secret model.  Each step is scored by how plausible the observed
 client action is under the model's conditional distribution; the test
-statistic is the mean step score.  The null distribution of the statistic is
-obtained by Monte-Carlo resampling of client actions (the server actions are
-held fixed, so step scores are conditionally independent and their exact
-moments are also computed analytically).  The transcript is rejected when its
+statistic is the mean step score.  With the server actions held fixed the
+step scores are independent, so the null distribution of the statistic
+follows from the per-step distributions alone: null_tail convolves them
+exactly on small supports and takes a saddle-point tail (Daniels 1954;
+Lugannani and Rice 1980) beyond.  The transcript is rejected when its
 statistic is too extreme relative to the null.
 
-One vectorised sampler, null_draws, serves both p_value and rl.p_curve.  It
-consumes exactly one (M, steps) block of uniforms per call, so a seeded
-generator reproduces a p-value bit for bit.
+No step of the test draws random numbers, so a logged transcript's p-value
+can be recomputed bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from agentauth.engine import InteractionHistory
 from agentauth.models import Pdt, node_path
 
 DEFAULT_ALPHA = 0.1
-DEFAULT_MC_SAMPLES = 1000
-_DRAW_CHUNK_ROWS = 256
+_EXACT_LOG2_ATOMS = 12
+# Mean-scale slack: a statistic this close to the cut counts as at least as extreme.
+_TIE = 1e-12
+# Cuts closer to the mean than this many standard deviations take the normal limit.
+_NORMAL_LIMIT = 1e-3
 
 
 @dataclass
@@ -35,13 +38,6 @@ class AuthVerdict:
     score: float  # p-value or classifier output
     threshold: float  # significance level alpha, or classifier cut
     method: str
-
-
-@dataclass
-class NullSummary:
-    mean: float
-    variance: float
-    mc_samples: np.ndarray
 
 
 def action_scores(q: np.ndarray) -> np.ndarray:
@@ -86,84 +82,136 @@ def test_statistic(history: InteractionHistory, model: Pdt) -> float:
     return float(observed_scores(score_tables(q), history.client_actions()).mean())
 
 
-def _analytic_moments(q: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
-    # Step scores are conditionally independent given the server actions, so
-    # the statistic's mean/variance follow from per-step moments.
-    steps = q.shape[0]
-    means = (q * scores).sum(axis=1)
-    seconds = (q * scores**2).sum(axis=1)
-    mean = float(means.mean())
-    variance = float(max((seconds - means**2).sum() / steps**2, 0.0))
-    return mean, variance
+def null_tail(q: np.ndarray, scores: np.ndarray, observed) -> np.ndarray | float:
+    """Two-sided null p of an observed mean step score, without sampling.
+
+    Step t's client action is drawn from q[..., t, :] and scores
+    scores[..., t, a]; observed has q's leading shape.  Returns
+    P(|Z - mu| >= |observed - mu|) for Z the mean step score and mu its mean,
+    counting statistics within _TIE of the cut as at least as extreme: an
+    observed value at mu gives exactly 1, one beyond the support exactly 0.
+    Steps are independent given the server actions, so while there are at
+    most 2^_EXACT_LOG2_ATOMS action sequences the distribution is convolved
+    exactly; beyond, each tail is Lugannani-Rice's saddle-point tail.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    *lead, steps, n = q.shape
+    q = q.reshape(-1, steps, n)
+    scores = np.reshape(scores, q.shape)
+    means = np.einsum("btn,btn->bt", q, scores)
+    centred = scores - means[..., None]  # S = sum_t centred_t has mean 0
+    cut = np.abs(np.reshape(observed, -1) * steps - means.sum(axis=-1))
+    tie = _TIE * steps
+    var = np.einsum("btn,btn,btn->b", q, centred, centred)
+    support = q > 0
+    exact = np.log2(np.count_nonzero(support, axis=-1)).sum(axis=-1) <= _EXACT_LOG2_ATOMS
+    p = np.ones(cut.shape)
+    for b in np.flatnonzero(exact & (cut > tie)):
+        p[b] = _exact_tail(q[b], centred[b], support[b], cut[b] - tie)
+    # Within _NORMAL_LIMIT sd of the mean Lugannani-Rice cancels; the two
+    # tails' skewness terms cancel too, leaving the normal limit.
+    near = ~exact & (cut > tie) & (cut < _NORMAL_LIMIT * np.sqrt(var))
+    p[near] = [math.erfc(c / math.sqrt(2.0 * v)) for c, v in zip(cut[near], var[near])]
+    saddle = ~exact & (cut > tie) & ~near
+    if saddle.any():
+        # The lower tail P(S <= -cut) is the upper tail of -S: both at once.
+        both = (np.concatenate([a[saddle]] * 2) for a in (q, support, cut, var))
+        q2, support2, cut2, var2 = both
+        signed = np.concatenate([centred[saddle], -centred[saddle]])
+        tails = _saddle_tails(q2, signed, support2, cut2, var2, tie)
+        p[saddle] = np.minimum(tails.reshape(2, -1).sum(axis=0), 1.0)
+    return float(p[0]) if not lead else p.reshape(lead)
 
 
-def null_draws(
-    q: np.ndarray, scores: np.ndarray, M: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(M, steps) step scores of client actions drawn from q by inverse CDF,
-    from one rng.random((M, steps)) block."""
-    steps, n = q.shape
-    u = rng.random((M, steps))
-    thresholds = np.cumsum(q, axis=1)[:, :-1].T.copy()
-    offsets = np.arange(steps) * n
-    table = scores.ravel()
-    # Chunks of rows keep the index arrays small and in cache; each chunk's
-    # scores overwrite its uniforms (out= with mode="clip" writes in place,
-    # the default mode buffers a copy).
-    for chunk in np.split(u, range(_DRAW_CHUNK_ROWS, M, _DRAW_CHUNK_ROWS)):
-        # CDF rows are non-decreasing, so counting the first n - 1 entries
-        # <= u is min(searchsorted(cdf_t, u, side="right"), n - 1).
-        counts = np.zeros(chunk.shape, dtype=np.min_scalar_type(n - 1))
-        for threshold in thresholds:
-            counts += chunk >= threshold
-        table.take(counts + offsets, out=chunk, mode="clip")
-    return u
+def _exact_tail(q, centred, support, cut: float) -> float:
+    """P(|S| >= cut) by convolving the steps, merging equal partial sums."""
+    sums, probs = np.zeros(1), np.ones(1)
+    spread = support.sum(axis=-1) > 1  # a one-point step's centred score is 0
+    for q_t, c_t, s_t in zip(q[spread], centred[spread], support[spread]):
+        sums = np.add.outer(sums, c_t[s_t]).ravel()
+        probs = np.multiply.outer(probs, q_t[s_t]).ravel()
+        sums, inverse = np.unique(sums, return_inverse=True)
+        probs = np.bincount(inverse, probs)
+    return min(float(probs[np.abs(sums) >= cut].sum()), 1.0)
 
 
-def null_summary(
-    server_actions, model: Pdt, M: int, rng: np.random.Generator
-) -> NullSummary:
-    """Analytic moments plus M Monte-Carlo draws of the statistic under the
-    null (client actions resampled from the model, server actions fixed)."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    steps = len(server_actions)
-    q = step_distributions(server_actions, model, steps)
+def _saddle_tails(q, centred, support, x, var, tie: float) -> np.ndarray:
+    """Upper tails P(S >= x), one per leading index: the top atom's mass
+    where no other atom reaches x, Lugannani-Rice below that."""
+    top = np.where(support, centred, -np.inf).max(axis=-1)
+    # 0 at each step's top and < 0 below it (off the support q is 0), so
+    # tilted weights never overflow.
+    below = np.minimum(centred - top[..., None], 0.0)
+    highest = top.sum(axis=-1)
+    gap = -np.where(support & (below < 0.0), below, -np.inf).max(axis=(-2, -1))
+    tail = np.zeros(x.shape)
+    only_top = (x > highest - gap + tie) & (x <= highest + tie)
+    tail[only_top] = np.prod(np.where(below[only_top] == 0.0, q[only_top], 0.0).sum(-1), -1)
+    inside = x <= highest - gap + tie
+    if inside.any():
+        x = x[inside]
+        theta, k, k2 = _solve_saddle(q[inside], below[inside], highest[inside], x, var[inside])
+        w = np.sqrt(2.0 * np.maximum(theta * x - k, 0.0))
+        u = theta * np.sqrt(k2)
+        upper = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in w])
+        density = np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
+        tail[inside] = np.clip(upper + density * (1.0 / u - 1.0 / w), 0.0, 1.0)
+    return tail
+
+
+def _solve_saddle(q, below, highest, x, var):
+    """Newton on K'(theta) = x for every leading index at once, bisecting
+    (or doubling) when a step leaves the bracket; entries stop once solved,
+    so a batch solves each as if alone.  Returns theta, K and K''."""
+    theta = x / var
+    lo, hi = np.zeros(x.shape), np.full(x.shape, np.inf)
+    below2 = below * below
+    for _ in range(100):
+        w = q * np.exp(theta[:, None, None] * below)
+        mass = np.einsum("btn->bt", w)
+        m1 = np.einsum("btn,btn->bt", w, below) / mass
+        k2 = np.einsum("bt->b", np.einsum("btn,btn->bt", w, below2) / mass - m1 * m1)
+        miss = highest + np.einsum("bt->b", m1) - x
+        done = np.abs(miss) <= 1e-10 * np.sqrt(var)
+        if done.all():
+            break
+        lo = np.where(miss < 0, theta, lo)
+        hi = np.where(miss > 0, theta, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = theta - miss / k2
+        fallback = np.where(hi < np.inf, (lo + hi) / 2, 2 * theta)
+        step = np.where((step > lo) & (step < hi), step, fallback)
+        theta = np.where(done, theta, step)
+    return theta, theta * highest + np.log(mass).sum(axis=-1), k2
+
+
+def p_value(history: InteractionHistory, model: Pdt) -> float:
+    """Two-sided null p of the transcript's mean step score: the probability,
+    with the server actions fixed and client actions drawn from the model, of
+    a statistic at least as far from the null mean as the observed one.
+
+    Deterministic (null_tail draws nothing), and exactly 0 when no client
+    action sequence is that extreme."""
+    q = step_distributions(history.server_actions(), model, history.length)
     scores = score_tables(q)
-    mean, variance = _analytic_moments(q, scores)
-    sampled = null_draws(q, scores, M, rng)
-    return NullSummary(mean=mean, variance=variance, mc_samples=sampled.mean(axis=1))
-
-
-def p_value(
-    history: InteractionHistory,
-    model: Pdt,
-    M: int = DEFAULT_MC_SAMPLES,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Two-sided Monte-Carlo p: probability under the null of a statistic at
-    least as far from the null mean as the observed one (add-one estimator,
-    so the result is never exactly zero)."""
-    if rng is None:
-        rng = np.random.default_rng()
-    summary = null_summary(history.server_actions(), model, M, rng)
-    z = test_statistic(history, model)
-    d = abs(z - summary.mean)
-    extreme = int(np.count_nonzero(np.abs(summary.mc_samples - summary.mean) >= d))
-    return (1 + extreme) / (M + 1)
+    z = float(observed_scores(scores, history.client_actions()).mean())
+    return null_tail(q, scores, z)
 
 
 def hypothesis_test(
     history: InteractionHistory,
     model: Pdt,
     alpha: float = DEFAULT_ALPHA,
-    M: int = DEFAULT_MC_SAMPLES,
-    rng: np.random.Generator | None = None,
+    M=None,
+    rng=None,
 ) -> AuthVerdict:
-    """Authenticate iff the p-value is at least alpha."""
+    """Authenticate iff the p-value is at least alpha.
+
+    M and rng are accepted for callers that still pass a Monte-Carlo sample
+    count and a generator; both are ignored, and rng is not drawn from."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    p = p_value(history, model, M, rng)
+    p = p_value(history, model)
     return AuthVerdict(accept=p >= alpha, score=p, threshold=alpha, method="hypothesis")
 
 

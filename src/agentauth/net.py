@@ -24,7 +24,7 @@ import numpy as np
 
 from agentauth.engine import InteractionHistory, ProtocolViolation, exchange
 from agentauth.engine import confirmation_tag, derive_key
-from agentauth.hypo import DEFAULT_ALPHA, DEFAULT_MC_SAMPLES, hypothesis_test
+from agentauth.hypo import DEFAULT_ALPHA, hypothesis_test
 from agentauth.models import Pdt, PdtAgent
 
 FRAME_HELLO = 0x01
@@ -62,10 +62,6 @@ class FrameError(ValueError):
 
 class ProtocolError(RuntimeError):
     """Peer violated the protocol (bad reveal, wrong phase, bad params)."""
-
-
-class AuthRejected(RuntimeError):
-    """Server refused to authenticate the client."""
 
 
 def encode_frame(ftype: int, payload: bytes) -> bytes:
@@ -164,7 +160,6 @@ def _expect(ftype: int, wanted: int, payload: bytes) -> None:
 class ServerConfig:
     l: int = 200
     alpha: float = DEFAULT_ALPHA
-    mc_samples: int = DEFAULT_MC_SAMPLES
     timeout: float = DEFAULT_TIMEOUT
     seed: int = 0
     force_accept: bool = False  # test hook: issue a tag even on reject
@@ -178,8 +173,6 @@ class ServerConfig:
         # the server at start-up instead of failing every session at its end.
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (isinstance(self.mc_samples, int) and self.mc_samples >= 1):
-            raise ValueError(f"mc_samples must be an int >= 1, got {self.mc_samples!r}")
 
 
 class AmiServer(socketserver.ThreadingTCPServer):
@@ -248,7 +241,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             PARAMS_STRUCT.pack(model.n_actions, cfg.l, model.depth, PROTOCOL_VERSION),
         )
         history = exchange(agent, lambda a, _: exchange_step(sock, a), cfg.l, rng, model.n_actions)
-        verdict = hypothesis_test(history, model, cfg.alpha, cfg.mc_samples, rng)
+        verdict = hypothesis_test(history, model, cfg.alpha)
         accept = verdict.accept or cfg.force_accept
         if accept:
             tag = confirmation_tag(derive_key(history, model))

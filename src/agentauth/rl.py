@@ -20,8 +20,9 @@ import numpy as np
 from agentauth.engine import run_interaction
 from agentauth.hypo import (
     RunningPValue,
-    null_draws,
+    null_tail,
     observed_scores,
+    p_value,
     score_tables,
     step_distributions,
 )
@@ -249,31 +250,22 @@ def _apply_updates(policy, buffer, lr_policy, lr_value, entropy_bonus):
 
 
 def p_curve(
-    server_agent,
-    client_agent,
-    legit: Pdt,
-    steps: int,
-    M: int,
-    rng: np.random.Generator,
+    server_agent, client_agent, legit: Pdt, steps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Monte-Carlo p-value after each prefix of a fresh session of the given
-    number of steps.  One resampled null action set is shared across prefixes,
-    which is valid per prefix and keeps the whole curve O(M * steps)."""
+    """Null p-value after each prefix of a fresh session of the given number
+    of steps.  Prefix j is the whole session with every later step made a
+    point mass at score 0, so one null_tail call covers all prefixes."""
     history = run_interaction(
         server_agent, client_agent, steps - 1, rng, rng, n_actions=legit.n_actions
     )
     q = step_distributions(history.server_actions(), legit, steps)
     scores = score_tables(q)
     s_obs = observed_scores(scores, history.client_actions())
-    means = (q * scores).sum(axis=1)
-    sampled = null_draws(q, scores, M, rng)
-    lengths = np.arange(1, steps + 1)
-    z_obs = np.cumsum(s_obs) / lengths
-    null_mean = np.cumsum(means) / lengths
-    z_null = np.cumsum(sampled, axis=1) / lengths
-    d = np.abs(z_obs - null_mean)
-    extreme = (np.abs(z_null - null_mean) >= d).sum(axis=0)
-    return (1 + extreme) / (M + 1)
+    inside = np.tri(steps, dtype=bool)[:, :, None]
+    point = np.eye(1, legit.n_actions)
+    return null_tail(
+        np.where(inside, q, point), np.where(inside, scores, 0.0), np.cumsum(s_obs) / steps
+    )
 
 
 @dataclass
@@ -284,18 +276,13 @@ class EvalResult:
 
 
 def evaluate_policy(
-    server_factory,
-    adversaries,
-    legit: Pdt,
-    steps: int,
-    M: int,
-    rng: np.random.Generator,
+    server_factory, adversaries, legit: Pdt, steps: int, rng: np.random.Generator
 ) -> EvalResult:
     """p-value trajectory of fresh sessions, one per adversary.
     server_factory() must return a fresh agent handle per session."""
     curves = np.stack(
         [
-            p_curve(server_factory(), adversary, legit, steps, M, rng)
+            p_curve(server_factory(), adversary, legit, steps, rng)
             for adversary in adversaries
         ]
     )
@@ -319,14 +306,12 @@ def evaluate_replay(
     mode: str,
     count: int,
     steps: int,
-    M: int,
     rng: np.random.Generator,
     alpha: float = 0.1,
 ):
     """Record legitimate sessions under the given policy mode, replay their
     client actions against fresh sessions, and report the final p-values."""
     from agentauth.adv import ReplayAgent
-    from agentauth.hypo import p_value
 
     finals = []
     for _ in range(count):
@@ -346,7 +331,7 @@ def evaluate_replay(
             rng,
             n_actions=legit.n_actions,
         )
-        finals.append(p_value(replayed, legit, M, rng))
+        finals.append(p_value(replayed, legit))
     finals = np.array(finals)
     return finals, float(np.mean(finals < alpha))
 

@@ -1,12 +1,15 @@
 """Reference helpers that only tests use: each restates a definition plainly
 so the program's vectorised code can be checked against it."""
 
+import itertools
+import math
+
 import numpy as np
 
 from agentauth.clf import Dataset, encode_history
 from agentauth.engine import InteractionHistory, run_interaction
 from agentauth.hypo import (
-    _analytic_moments,
+    _TIE,
     _normal_two_sided,
     action_scores,
     observed_scores,
@@ -26,6 +29,17 @@ def step_score(observed: int, q) -> float:
     return float(action_scores(q)[observed - 1])
 
 
+def analytic_moments(q, scores) -> tuple[float, float]:
+    """Mean and variance of the mean step score under the null, from the
+    per-step moments of independent steps."""
+    steps = q.shape[0]
+    means = (q * scores).sum(axis=1)
+    seconds = (q * scores**2).sum(axis=1)
+    mean = float(means.mean())
+    variance = float(max((seconds - means**2).sum() / steps**2, 0.0))
+    return mean, variance
+
+
 def incremental_p(history: InteractionHistory, model) -> float:
     """Normal-approximation p over a whole (possibly partial) transcript, the
     batch counterpart of RunningPValue."""
@@ -33,9 +47,53 @@ def incremental_p(history: InteractionHistory, model) -> float:
         raise ValueError("need at least one step")
     q = step_distributions(history.server_actions(), model, history.length)
     scores = score_tables(q)
-    mean, variance = _analytic_moments(q, scores)
+    mean, variance = analytic_moments(q, scores)
     z = float(np.mean(observed_scores(scores, history.client_actions())))
     return _normal_two_sided(z, mean, variance)
+
+
+def mc_null_means(q, scores, M, rng, chunk=16384):
+    """M Monte-Carlo draws of the mean step score under the null: each
+    step's client action drawn from q by inverse CDF.  Consumes
+    rng.random((M, steps)) in row blocks of `chunk`, which is the same stream
+    as one (M, steps) block."""
+    steps, n = q.shape
+    cdf = np.cumsum(q, axis=1)
+    means = np.empty(M)
+    for start in range(0, M, chunk):
+        u = rng.random((min(chunk, M - start), steps))
+        for t in range(steps):
+            idx = np.minimum(np.searchsorted(cdf[t], u[:, t], side="right"), n - 1)
+            u[:, t] = scores[t, idx]
+        means[start:start + len(u)] = u.mean(axis=1)
+    return means
+
+
+def mc_p_value(q, scores, z, M, rng):
+    """Share of M Monte-Carlo null statistics at least as far from the null
+    mean as z, with null_tail's tie slack."""
+    mean = float((q * scores).sum(axis=1).mean())
+    means = mc_null_means(q, scores, M, rng)
+    return np.count_nonzero(np.abs(means - mean) >= abs(z - mean) - _TIE) / M
+
+
+def support_size(q) -> int:
+    """Number of client action sequences with positive probability."""
+    return math.prod(int(c) for c in np.count_nonzero(np.asarray(q) > 0, axis=1))
+
+
+def enumerated_p(q, scores, z):
+    """Two-sided null p of statistic z by listing every client action
+    sequence with positive probability."""
+    steps = q.shape[0]
+    support = [np.flatnonzero(row > 0) for row in q]
+    mean = float((q * scores).sum(axis=1).mean())
+    p = 0.0
+    for seq in itertools.product(*support):
+        z_seq = float(np.mean(scores[np.arange(steps), seq]))
+        if abs(z_seq - mean) >= abs(z - mean) - _TIE:
+            p += float(np.prod(q[np.arange(steps), seq]))
+    return p
 
 
 def decode_history(vector, n_actions: int) -> InteractionHistory:

@@ -117,6 +117,54 @@ class TestDeriveKey:
         self._refused(model_path, transcript_path, capsys, needle)
 
 
+class TestModelFileErrors:
+    """serve and client report an unreadable model file as one stderr line
+    and exit 1, as derive-key does, instead of a traceback."""
+
+    @staticmethod
+    def _refused(argv, capsys, *needles):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        for needle in needles:
+            assert needle in captured.err
+
+    @pytest.fixture()
+    def server_model(self, tmp_path):
+        path = tmp_path / "server.json"
+        save_pdt(generate_random_pdt(3, 2, 1.0, np.random.default_rng(10)), path)
+        return path
+
+    def test_serve_registry_file_without_fields(self, tmp_path, capsys, server_model):
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        (registry / "alice.json").write_text('{"version": 2}')
+        self._refused(
+            ["serve", "--listen", "127.0.0.1:0", "--registry", str(registry),
+             "--server-model", str(server_model)],
+            capsys, "agentauth serve:", "alice.json", "ModelFormatError",
+        )
+
+    def test_serve_missing_server_model(self, tmp_path, capsys, server_model):
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        save_pdt(generate_random_pdt(3, 2, 0.3, np.random.default_rng(11)), registry / "alice.json")
+        missing = tmp_path / "absent.json"
+        self._refused(
+            ["serve", "--listen", "127.0.0.1:0", "--registry", str(registry),
+             "--server-model", str(missing)],
+            capsys, "agentauth serve:", str(missing), "FileNotFoundError",
+        )
+
+    def test_client_missing_model(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        self._refused(
+            ["client", "--connect", "127.0.0.1:1", "--user", "alice", "--model", str(missing)],
+            capsys, "agentauth client:", str(missing), "FileNotFoundError",
+        )
+
+
 class TestFitMleClient:
     def test_equals_scalar_loop(self):
         rng = np.random.default_rng(12)
@@ -137,7 +185,7 @@ class TestEvalAuth:
         main([
             "eval-auth", "--out", str(out), "--seed", "3",
             "--n", "3", "--k", "1", "--l", "10",
-            "--mc-samples", "100", "--trials", "5",
+            "--trials", "5",
         ])
         return out
 
@@ -162,7 +210,7 @@ class TestLengthSweep:
             main([
                 "length-sweep", "--out", str(out), "--seed", "4",
                 "--n", "3", "--k", "1", "--grid", "5", "10",
-                "--mc-samples", "100", "--trials", "5",
+                "--trials", "5",
             ])
             return out
 
@@ -195,7 +243,7 @@ class TestProbeCommands:
             "eval-probe", "--policy", str(policy_path),
             "--out", str(curves), "--replay-out", str(replay),
             "--seed", "7", "--n", "3", "--k", "1", "--l", "5",
-            "--mc-samples", "50", "--trials", "3",
+            "--trials", "3",
         ]) == 0
         rows = read_rows(curves)
         assert len(rows) == 3 * 5

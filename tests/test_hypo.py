@@ -3,18 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from agentauth.engine import InteractionHistory, run_interaction
+from agentauth.engine import InteractionHistory, load_transcript, run_interaction, save_transcript
 from agentauth.hypo import (
     RunningPValue,
     action_scores,
     hypothesis_test,
-    null_summary,
+    null_tail,
     p_value,
+    score_tables,
+    step_distributions,
 )
 from agentauth.hypo import test_statistic as statistic
 from agentauth.models import Pdt, PdtAgent, generate_random_pdt, node_count
 from agentauth.adv import make_random_adversary
-from oracles import incremental_p, step_score
+from oracles import analytic_moments, incremental_p, mc_null_means, step_score
 
 
 def literal_pdt(n, depth, row):
@@ -94,47 +96,78 @@ class TestTestStatistic:
         assert 0.0 <= statistic(h, model) <= 1.0
 
 
-class TestNullSummary:
+class TestNullTail:
     def test_degenerate_no_randomness(self):
-        model = literal_pdt(3, 1, [0.0, 1.0, 0.0])
-        ns = null_summary([1, 2, 3], model, 50, np.random.default_rng(2))
-        assert ns.variance == pytest.approx(0.0)
-        assert np.all(ns.mc_samples == ns.mc_samples[0])
+        # Zero variance: p is 1 at the mean and 0 anywhere else.
+        q = np.tile([0.0, 1.0, 0.0], (3, 1))
+        scores = score_tables(q)
+        assert null_tail(q, scores, 1.0) == 1.0
+        assert null_tail(q, scores, 2 / 3) == 0.0
 
     def test_mc_mean_matches_analytic(self):
+        # The Monte-Carlo oracle the tail is checked against samples the
+        # null whose moments the test computes analytically.
         rng = np.random.default_rng(3)
         model = generate_random_pdt(3, 2, 0.5, rng)
         server_actions = list(rng.integers(1, 4, size=40))
+        q = step_distributions(server_actions, model, 40)
+        scores = score_tables(q)
+        mean, variance = analytic_moments(q, scores)
         M = 4000
-        ns = null_summary(server_actions, model, M, rng)
-        tol = 3 * np.sqrt(ns.variance / M)
-        assert abs(ns.mc_samples.mean() - ns.mean) <= tol
+        sampled = mc_null_means(q, scores, M, rng)
+        assert abs(sampled.mean() - mean) <= 3 * np.sqrt(variance / M)
 
     def test_two_outcome_brute_force(self):
-        model = literal_pdt(2, 1, [0.9, 0.1])
-        ns = null_summary([1], model, 10, np.random.default_rng(4))
-        scores = action_scores(np.array([0.9, 0.1]))
-        expected_mean = 0.9 * scores[0] + 0.1 * scores[1]
-        assert ns.mean == pytest.approx(expected_mean)
-        # likelihood half alone contributes 0.9*0.9 + 0.1*0.1 = 0.82
-        assert 0.9 * 0.9 + 0.1 * 0.1 == pytest.approx(0.82)
+        # One step of [0.9, 0.1]: the rare action is the only one as far
+        # from the mean as itself, the common one ties with everything.
+        q = np.array([[0.9, 0.1]])
+        scores = score_tables(q)
+        assert null_tail(q, scores, scores[0, 1]) == pytest.approx(0.1, abs=1e-15)
+        assert null_tail(q, scores, scores[0, 0]) == 1.0
+
+    def test_outside_support_is_zero(self):
+        # Literal rows with exact zeros: bounds come from the support only.
+        q = np.tile([0.5, 0.0, 0.5], (20, 1))
+        scores = score_tables(q)
+        assert null_tail(q, scores, 0.75) == 1.0  # every action ties
+        assert null_tail(q, scores, 0.8) == 0.0
+        assert null_tail(q, scores, 0.0) == 0.0
+
+    def test_batch_matches_one_at_a_time(self):
+        rng = np.random.default_rng(17)
+        q = rng.dirichlet(np.ones(4), size=(3, 30))
+        scores = np.stack([score_tables(row) for row in q])
+        z = scores.mean(axis=(1, 2)) + np.array([-0.05, 0.0, 0.04])
+        batched = null_tail(q, scores, z)
+        assert batched.shape == (3,)
+        single = [null_tail(q[b], scores[b], z[b]) for b in range(3)]
+        assert batched.tolist() == pytest.approx(single, rel=1e-12, abs=0)
+
+    def test_top_of_support_is_the_top_atom(self):
+        # Every step at its most likely action, whose score lies further
+        # above the mean than any sequence lies below it: p is exactly that
+        # sequence's probability, on both sides of the exact/saddle switch.
+        for steps in (6, 30):
+            q = np.tile([0.4, 0.3, 0.3], (steps, 1))
+            scores = score_tables(q)
+            assert null_tail(q, scores, scores[0, 0]) == pytest.approx(0.4**steps, rel=1e-12)
 
 
 class TestPValue:
     def test_zero_extremity_gives_one(self):
         model = literal_pdt(3, 1, [0.0, 1.0, 0.0])
         h = InteractionHistory(steps=[(1, 2), (2, 2)], n_actions=3)
-        # variance 0 and z == mean: every null sample ties
-        assert p_value(h, model, 100, np.random.default_rng(5)) == 1.0
+        # variance 0 and z == mean: every null sequence ties
+        assert p_value(h, model) == 1.0
 
     def test_null_uniformity(self):
         rng = np.random.default_rng(6)
         model = generate_random_pdt(3, 2, 0.3, rng)
         server = generate_random_pdt(3, 2, 1.0, rng)
         ps = []
-        for _ in range(300):
+        for _ in range(1000):
             h = run_interaction(PdtAgent(server), PdtAgent(model), 30, rng, rng)
-            ps.append(p_value(h, model, 400, rng))
+            ps.append(p_value(h, model))
         ps = np.sort(ps)
         ecdf = np.arange(1, len(ps) + 1) / len(ps)
         assert np.max(np.abs(ecdf - ps)) < 0.08
@@ -142,26 +175,27 @@ class TestPValue:
     def test_exact_enumeration_l0_l1(self):
         rng = np.random.default_rng(7)
         model = generate_random_pdt(2, 1, 0.5, rng)
-        M = 2000
         for server_actions in ([1], [2, 1]):
             exact = brute_force_p(server_actions, model)
             for seq, p_exact in exact.items():
                 steps = [(s, a + 1) for s, a in zip(server_actions, seq)]
                 h = InteractionHistory(steps=steps, n_actions=2)
-                p_mc = p_value(h, model, M, np.random.default_rng(8))
-                assert abs(p_mc - p_exact) <= 2 / np.sqrt(M)
+                assert p_value(h, model) == pytest.approx(p_exact, rel=0, abs=1e-12)
 
     def test_monotone_in_extremity(self):
-        ns = null_summary(
-            [1, 2, 3],
-            generate_random_pdt(3, 2, 0.5, np.random.default_rng(9)),
-            500,
-            np.random.default_rng(10),
-        )
-        deviations = np.abs(ns.mc_samples - ns.mean)
-        ds = np.linspace(0, deviations.max() * 1.1, 25)
-        ps = [(1 + np.count_nonzero(deviations >= d)) / 501 for d in ds]
-        assert all(a >= b for a, b in zip(ps, ps[1:]))
+        # Exact (3 steps) and saddle-point (40 steps) tails alike.
+        model = generate_random_pdt(3, 2, 0.5, np.random.default_rng(9))
+        server_actions = list(np.random.default_rng(10).integers(1, 4, size=40))
+        for steps in (3, 40):
+            q = step_distributions(server_actions, model, steps)
+            scores = score_tables(q)
+            mean, _ = analytic_moments(q, scores)
+            span = scores.max(axis=1).mean() - mean
+            for side in (1, -1):
+                zs = mean + side * np.linspace(0, 1.1 * span, 25)
+                ps = [null_tail(q, scores, z) for z in zs]
+                assert ps[0] == 1.0
+                assert all(a >= b for a, b in zip(ps, ps[1:]))
 
 
 class TestHypothesisTest:
@@ -170,9 +204,9 @@ class TestHypothesisTest:
         model = generate_random_pdt(3, 2, 0.3, rng)
         server = generate_random_pdt(3, 2, 1.0, rng)
         h = run_interaction(PdtAgent(server), PdtAgent(model), 20, rng, rng)
-        p = p_value(h, model, 200, np.random.default_rng(12))
-        verdict = hypothesis_test(h, model, 0.1, 200, np.random.default_rng(12))
-        assert verdict.score == pytest.approx(p)
+        p = p_value(h, model)
+        verdict = hypothesis_test(h, model, 0.1)
+        assert verdict.score == p
         assert verdict.accept == (p >= 0.1)
 
     def test_alpha_validated(self):
@@ -189,7 +223,7 @@ class TestHypothesisTest:
         trials = 500
         for _ in range(trials):
             h = run_interaction(PdtAgent(server), PdtAgent(model), 20, rng, rng)
-            accepts += hypothesis_test(h, model, 0.1, 300, rng).accept
+            accepts += hypothesis_test(h, model, 0.1).accept
         assert abs(accepts / trials - 0.9) < 0.05
 
 
@@ -212,8 +246,7 @@ class TestIncrementalP:
         for _ in range(10):
             adv = make_random_adversary(10, 5, 0.1, rng)
             h = run_interaction(PdtAgent(server), adv, 60, rng, rng)
-            p_mc = p_value(h, model, 2000, rng)
-            assert abs(incremental_p(h, model) - p_mc) <= 0.05
+            assert abs(incremental_p(h, model) - p_value(h, model)) <= 0.05
 
     def test_running_matches_batch(self):
         rng = np.random.default_rng(15)
@@ -241,6 +274,52 @@ class TestReplayProperty:
             replayed = run_interaction(
                 PdtAgent(server), ReplayAgent(recorded.client_actions()), 60, rng, rng
             )
-            ns = null_summary(replayed.server_actions(), model, 1, rng)
-            gaps.append(statistic(replayed, model) - ns.mean)
+            q = step_distributions(replayed.server_actions(), model, replayed.length)
+            null_mean, _ = analytic_moments(q, score_tables(q))
+            gaps.append(statistic(replayed, model) - null_mean)
         assert np.mean(gaps) < 0
+
+
+class TestDeterminism:
+    def test_saved_transcript_gives_identical_p(self, tmp_path):
+        rng = np.random.default_rng(19)
+        model = generate_random_pdt(10, 5, 0.1, rng)
+        server = generate_random_pdt(10, 5, 1.0, rng)
+        h = run_interaction(PdtAgent(server), PdtAgent(model), 200, rng, rng)
+        save_transcript(h, tmp_path / "session.jsonl")
+        again = p_value(load_transcript(tmp_path / "session.jsonl"), model)
+        assert np.float64(again).tobytes() == np.float64(p_value(h, model)).tobytes()
+
+    def test_hypothesis_test_draws_nothing(self):
+        rng = np.random.default_rng(20)
+        model = generate_random_pdt(3, 2, 0.3, rng)
+        server = generate_random_pdt(3, 2, 1.0, rng)
+        h = run_interaction(PdtAgent(server), PdtAgent(model), 30, rng, rng)
+        passed = np.random.default_rng(21)
+        before = passed.bit_generator.state
+        verdict = hypothesis_test(h, model, 0.1, 1000, passed)
+        assert passed.bit_generator.state == before
+        assert verdict.score == p_value(h, model)
+
+    def test_one_step_session(self):
+        # l=0: p is the probability of the actions at least as far from the
+        # step's mean score as the observed one.
+        rng = np.random.default_rng(22)
+        model = generate_random_pdt(3, 2, 0.5, rng)
+        q = model.action_distribution([])
+        scores = action_scores(q)
+        mean = float(q @ scores)
+        for a in range(3):
+            h = InteractionHistory(steps=[(1, a + 1)], n_actions=3)
+            far = np.abs(scores - mean) >= abs(scores[a] - mean) - 1e-12
+            assert p_value(h, model) == pytest.approx(q[far].sum(), rel=0, abs=1e-15)
+
+    def test_zero_variance_model(self):
+        # A literal model with one certain action: p is 1.0 when the client
+        # plays it at every step and 0.0 as soon as it does not.
+        model = literal_pdt(3, 1, [0.0, 1.0, 0.0])
+        steps = [(1, 2), (3, 2), (2, 2)]
+        assert p_value(InteractionHistory(steps=steps, n_actions=3), model) == 1.0
+        steps[1] = (3, 1)
+        assert p_value(InteractionHistory(steps=steps, n_actions=3), model) == 0.0
+        assert p_value(InteractionHistory(steps=[(1, 3)], n_actions=3), model) == 0.0

@@ -1,8 +1,11 @@
-"""The vectorised tree-walk, scoring and sampling kernels against the
-per-step loops they replaced.
+"""The vectorised tree-walk and scoring kernels against the per-step loops
+they replaced, and the null tail against exact enumeration.
 
 The loops below are the reference implementations: each kernel must give the
-same bytes, and consume the generator the same way, for the same seed.
+same bytes, and consume the generator the same way, for the same seed.  The
+null tail is checked against listing every client action sequence where
+there are at most 2^12 of them, and against a Monte-Carlo oracle across the
+switch from exact convolution to the saddle point.
 """
 
 import hashlib
@@ -12,12 +15,10 @@ import numpy as np
 import pytest
 
 from agentauth.adv import make_mle_adversary, make_random_adversary, make_replay_adversary
-from agentauth.engine import KEY_QUANT_BITS, derive_key, run_interaction
+from agentauth.engine import KEY_QUANT_BITS, InteractionHistory, derive_key, run_interaction
 from agentauth.hypo import (
-    _analytic_moments,
     _normal_two_sided,
     action_scores,
-    null_summary,
     p_value,
     score_tables,
 )
@@ -31,7 +32,7 @@ from agentauth.models import (
     node_path,
 )
 from agentauth.rl import p_curve
-from oracles import incremental_p
+from oracles import analytic_moments, enumerated_p, incremental_p, mc_p_value, support_size
 
 # ---------------------------------------------------------------- reference loops
 
@@ -46,24 +47,6 @@ def loop_score_tables(q):
     return np.stack([action_scores(row) for row in q])
 
 
-def loop_draws(q, scores, M, rng):
-    steps, n = q.shape
-    cum = np.cumsum(q, axis=1)
-    u = rng.random((M, steps))
-    sampled = np.empty((M, steps))
-    for t in range(steps):
-        idx = np.minimum(np.searchsorted(cum[t], u[:, t], side="right"), n - 1)
-        sampled[:, t] = scores[t, idx]
-    return sampled
-
-
-def loop_null_samples(server_actions, model, M, rng):
-    q = loop_step_distributions(server_actions, model, len(server_actions))
-    scores = loop_score_tables(q)
-    mean, _ = _analytic_moments(q, scores)
-    return mean, loop_draws(q, scores, M, rng).mean(axis=1)
-
-
 def loop_statistic(history, model):
     q = loop_step_distributions(history.server_actions(), model, history.length)
     scores = np.array(
@@ -72,16 +55,10 @@ def loop_statistic(history, model):
     return float(scores.mean())
 
 
-def loop_p_value(history, model, M, rng):
-    mean, samples = loop_null_samples(history.server_actions(), model, M, rng)
-    d = abs(loop_statistic(history, model) - mean)
-    return (1 + int(np.count_nonzero(np.abs(samples - mean) >= d))) / (M + 1)
-
-
 def loop_incremental_p(history, model):
     q = loop_step_distributions(history.server_actions(), model, history.length)
     scores = loop_score_tables(q)
-    mean, variance = _analytic_moments(q, scores)
+    mean, variance = analytic_moments(q, scores)
     z = float(np.mean([scores[t, c - 1] for t, c in enumerate(history.client_actions())]))
     return _normal_two_sided(z, mean, variance)
 
@@ -96,21 +73,16 @@ def loop_derive_key(history, model):
     return h.digest()
 
 
-def loop_p_curve(server_agent, client_agent, legit, steps, M, rng):
+def loop_p_curve(server_agent, client_agent, legit, steps, rng):
     history = run_interaction(
         server_agent, client_agent, steps - 1, rng, rng, n_actions=legit.n_actions
     )
-    q = loop_step_distributions(history.server_actions(), legit, steps)
-    scores = loop_score_tables(q)
-    s_obs = np.array([scores[t, c - 1] for t, c in enumerate(history.client_actions())])
-    means = (q * scores).sum(axis=1)
-    sampled = loop_draws(q, scores, M, rng)
-    lengths = np.arange(1, steps + 1)
-    z_obs = np.cumsum(s_obs) / lengths
-    null_mean = np.cumsum(means) / lengths
-    z_null = np.cumsum(sampled, axis=1) / lengths
-    extreme = (np.abs(z_null - null_mean) >= np.abs(z_obs - null_mean)).sum(axis=0)
-    return (1 + extreme) / (M + 1)
+    return np.array(
+        [
+            p_value(InteractionHistory(history.steps[: j + 1], legit.n_actions), legit)
+            for j in range(steps)
+        ]
+    )
 
 
 def loop_fit_mle(n_actions, depth, transcripts, role):
@@ -201,19 +173,20 @@ def test_fit_mle_matches_loop(role, n, k, l, sessions):
 
 # ---------------------------------------------------------------- golden outputs
 
-# (n, k, l, client temperature, M): paper defaults, criterion-7 and probe
+# (n, k, l, client temperature): paper defaults, criterion-7 and probe
 # dimensions, short sessions, and n=2 with one and two steps.
 DIMENSIONS = [
-    (10, 5, 200, 0.1, 1000),
-    (3, 2, 60, 0.3, 400),
-    (3, 5, 100, 0.1, 300),
-    (2, 1, 0, 0.3, 200),
-    (2, 3, 1, 0.3, 200),
-    (2, 2, 8, 0.3, 200),
-    (10, 5, 10, 0.1, 300),
+    (10, 5, 200, 0.1),
+    (3, 2, 60, 0.3),
+    (3, 5, 100, 0.1),
+    (2, 1, 0, 0.3),
+    (2, 3, 1, 0.3),
+    (2, 2, 8, 0.3),
+    (10, 5, 10, 0.1),
 ]
 CLIENTS = ["legit", "mle", "random", "replay"]
 SEEDS = [0, 1]
+EXACT_ATOMS = 1 << 12  # null_tail convolves exactly up to this many sequences
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +194,7 @@ def worlds():
     """Per dimension: server and user models, an MLE copy fitted from three
     sessions (a literal tree with exact zeros), and a random impostor."""
     out = {}
-    for i, (n, k, l, tau, _) in enumerate(DIMENSIONS):
+    for i, (n, k, l, tau) in enumerate(DIMENSIONS):
         rng = np.random.default_rng(500 + i)
         server = generate_random_pdt(n, k, 1.0, rng)
         user = generate_random_pdt(n, k, tau, rng)
@@ -250,7 +223,7 @@ def _client(world, kind):
 @pytest.mark.parametrize("kind", CLIENTS)
 @pytest.mark.parametrize("dim", range(len(DIMENSIONS)))
 def test_golden_outputs_match_loops(worlds, dim, kind, seed):
-    _, _, l, _, M = DIMENSIONS[dim]
+    l = DIMENSIONS[dim][2]
     world = worlds[dim]
     server = PdtAgent(world["server"])
     rng = np.random.default_rng(1000 * dim + seed)
@@ -258,20 +231,57 @@ def test_golden_outputs_match_loops(worlds, dim, kind, seed):
     # Score against the user's tree and against the MLE copy, whose zeros
     # make ties and repeated CDF values.
     for model in (world["user"], world["mle"].pdt):
-        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert p_value(history, model, M, rng_new) == loop_p_value(history, model, M, rng_old)
-        assert rng_new.random() == rng_old.random()  # same number of draws
-        summary = null_summary(history.server_actions(), model, M, np.random.default_rng(seed))
-        mean, samples = loop_null_samples(
-            history.server_actions(), model, M, np.random.default_rng(seed)
-        )
-        assert summary.mean == mean
-        assert summary.mc_samples.tobytes() == samples.tobytes()
         assert statistic(history, model) == loop_statistic(history, model)
         assert derive_key(history, model) == loop_derive_key(history, model)
         assert incremental_p(history, model) == loop_incremental_p(history, model)
+        q = loop_step_distributions(history.server_actions(), model, history.length)
+        if support_size(q) <= EXACT_ATOMS:
+            exact = enumerated_p(q, loop_score_tables(q), loop_statistic(history, model))
+            assert p_value(history, model) == pytest.approx(exact, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", CLIENTS)
+@pytest.mark.parametrize("dim", range(len(DIMENSIONS)))
+def test_p_curve_matches_prefix_p_values(worlds, dim, kind):
+    l = DIMENSIONS[dim][2]
+    world = worlds[dim]
+    server = PdtAgent(world["server"])
     curves = [
-        curve(server, _client(world, kind), world["user"], l + 1, M, np.random.default_rng(seed))
+        curve(server, _client(world, kind), world["user"], l + 1, np.random.default_rng(dim))
         for curve in (p_curve, loop_p_curve)
     ]
-    assert curves[0].tobytes() == curves[1].tobytes()
+    np.testing.assert_allclose(curves[0], curves[1], rtol=0, atol=1e-9)
+
+
+# Beyond the exact switch the tail is the saddle point's, whose error is
+# largest on few lumpy steps: on the 13 two-point steps below it reaches
+# 0.015 against exact enumeration (a known gap, see CHANGES.md).
+SADDLE_ERROR_13_STEPS = 0.02
+
+
+@pytest.mark.parametrize("steps", [12, 13])
+def test_exact_saddle_switch_against_monte_carlo(steps):
+    """n=2: 12 steps have 2^12 client action sequences and convolve
+    exactly, 13 take the saddle point."""
+    rng = np.random.default_rng(60)
+    server = generate_random_pdt(2, 3, 1.0, rng)
+    user = generate_random_pdt(2, 3, 0.3, rng)
+    observed = [
+        run_interaction(PdtAgent(server), PdtAgent(user), steps - 1, rng, rng) for _ in range(3)
+    ]
+    clients = [
+        PdtAgent(user),
+        make_mle_adversary(observed, 2, 3),
+        make_random_adversary(2, 3, 0.3, rng),
+        make_replay_adversary(observed[0]),
+    ]
+    M = 100_000
+    for client in clients * 2:
+        history = run_interaction(PdtAgent(server), client, steps - 1, rng, rng)
+        q = loop_step_distributions(history.server_actions(), user, steps)
+        assert (support_size(q) <= EXACT_ATOMS) == (steps == 12)
+        p_mc = mc_p_value(q, loop_score_tables(q), loop_statistic(history, user), M, rng)
+        bound = 4 * np.sqrt(max(p_mc * (1 - p_mc), 1 / M) / M)
+        if steps == 13:
+            bound += SADDLE_ERROR_13_STEPS
+        assert abs(p_value(history, user) - p_mc) <= bound

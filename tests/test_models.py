@@ -429,6 +429,6 @@ class TestV1ToV2Conversion:
         assert np.array_equal(from_v1._probs, from_v2._probs)
         assert derive_key(history, from_v1) == derive_key(history, from_v2)
         assert derive_key(history, from_v2) == derive_key(history, user)
-        v1 = hypothesis_test(history, from_v1, 0.1, 1000, np.random.default_rng(22))
-        v2 = hypothesis_test(history, from_v2, 0.1, 1000, np.random.default_rng(22))
+        v1 = hypothesis_test(history, from_v1, 0.1)
+        v2 = hypothesis_test(history, from_v2, 0.1)
         assert v1 == v2

@@ -43,7 +43,7 @@ def models():
 @pytest.fixture()
 def live_server(models):
     legit, server_model = models
-    config = ServerConfig(l=60, mc_samples=400, timeout=5.0, seed=99)
+    config = ServerConfig(l=60, timeout=5.0, seed=99)
     server = AmiServer(
         ("127.0.0.1", 0),
         {"alice": legit},
@@ -254,12 +254,11 @@ class TestHostilePeers:
         assert ServerConfig(l=MAX_SESSION_LENGTH).l == MAX_SESSION_LENGTH
 
     @pytest.mark.parametrize(
-        "field, value", [("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5), ("alpha", float("nan")),
-                         ("mc_samples", 0), ("mc_samples", -5), ("mc_samples", 10.0)],
+        "field, value", [("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5), ("alpha", float("nan"))],
     )
     def test_server_refuses_test_parameters_no_session_could_use(self, field, value):
-        # A bad alpha or M used to pass here and fail every session after its
-        # last round, inside hypothesis_test.
+        # A bad alpha used to pass here and fail every session after its last
+        # round, inside hypothesis_test.
         with pytest.raises(ValueError, match=field):
             ServerConfig(**{field: value})
 
@@ -313,7 +312,7 @@ class TestHostilePeers:
 
     def test_silent_client_timeout_is_logged(self, models, caplog):
         legit, server_model = models
-        config = ServerConfig(l=10, mc_samples=100, timeout=0.2, seed=1)
+        config = ServerConfig(l=10, timeout=0.2, seed=1)
         server = AmiServer(
             ("127.0.0.1", 0), {"alice": legit}, lambda: PdtAgent(server_model), config
         )
@@ -338,7 +337,7 @@ class TestSameExchangeAsInProcess:
         # with the same generators the deployed path must give the in-process
         # transcript step for step.
         legit, server_model = models
-        config = ServerConfig(l=60, mc_samples=400, timeout=5.0, seed=9)
+        config = ServerConfig(l=60, timeout=5.0, seed=9)
         server = AmiServer(
             ("127.0.0.1", 0), {"alice": legit}, lambda: PdtAgent(server_model), config
         )

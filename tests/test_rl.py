@@ -244,7 +244,7 @@ class TestEvaluation:
         rng = np.random.default_rng(24)
         legit = generate_random_pdt(3, 5, 0.5, rng)
         adv = sample_population(3, 5, 0.5, 1, seed=25)[0]
-        curve = p_curve(UniformAgent(3), adv, legit, 30, 200, rng)
+        curve = p_curve(UniformAgent(3), adv, legit, 30, rng)
         assert curve.shape == (30,)
         assert np.all((curve > 0) & (curve <= 1))
 
@@ -252,7 +252,7 @@ class TestEvaluation:
         rng = np.random.default_rng(26)
         legit = generate_random_pdt(3, 5, 0.5, rng)
         res = evaluate_policy(
-            lambda: UniformAgent(3), [PdtAgent(legit)] * 40, legit, 50, 400, rng
+            lambda: UniformAgent(3), [PdtAgent(legit)] * 40, legit, 50, rng
         )
         # under the null p is uniform: mean around 0.5 at every step
         assert res.mean_p[-1] > 0.25

@@ -28,7 +28,7 @@ from agentauth.models import PdtAgent, generate_random_pdt
 rng = np.random.default_rng(40)
 legit = generate_random_pdt(3, 2, 0.3, rng)
 server_model = generate_random_pdt(3, 2, 1.0, rng)
-config = net.ServerConfig(l=10, mc_samples=50, timeout=5.0, seed=1)
+config = net.ServerConfig(l=10, timeout=5.0, seed=1)
 server = net.AmiServer(
     ("127.0.0.1", 0), {"u": legit}, lambda: PdtAgent(server_model), config
 )
@@ -56,7 +56,10 @@ def test_span_wrappers_see_every_layer():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["missing"] == []
+    # The Monte-Carlo null and its span target are gone from the program; the
+    # target stays in perfbench/spans.py until the benchmark itself changes.
+    assert report["missing"] == ["hypo.null_summary"]
+    assert report["counts"]["hypo.hypothesis_test"] == 1
     # l=10 is 11 commit-reveal rounds on each side of the loopback session.
     assert report["counts"]["net.exchange_step"] == 22
     assert report["counts"]["engine.run_interaction"] == 1
