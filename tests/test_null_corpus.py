@@ -38,12 +38,12 @@ def test_corpus_covers_every_experiment(corpus):
 
 
 def test_null_tail_matches_monte_carlo_reference(corpus):
-    gaps, flips, users = [], [], {}
+    gaps, flips, tree = [], [], None
+    # Rows come grouped by user tree; keep one paper-size tree (18 MB) at a time.
     for row in corpus:
-        tree = (row["n"], row["k"], row["tau"], row["user_seed"])
-        if tree not in users:
-            users[tree] = generate_random_pdt(*tree[:3], np.random.default_rng(tree[3]))
-        user = users[tree]
+        if tree != (row["n"], row["k"], row["tau"], row["user_seed"]):
+            tree = (row["n"], row["k"], row["tau"], row["user_seed"])
+            user = generate_random_pdt(*tree[:3], np.random.default_rng(tree[3]))
         steps = [(int(s) + 1, int(c) + 1) for s, c in zip(row["server"], row["client"])]
         p = p_value(InteractionHistory(steps=steps, n_actions=row["n"]), user)
         gaps.append(abs(p - row["p_mc"]))
