@@ -190,8 +190,8 @@ def p_value(history: InteractionHistory, model: Pdt) -> float:
     with the server actions fixed and client actions drawn from the model, of
     a statistic at least as far from the null mean as the observed one.
 
-    Deterministic (null_tail draws nothing), and exactly 0 when no client
-    action sequence is that extreme."""
+    Deterministic (null_tail draws nothing).  It can be exactly 0, for
+    instance when the model gives the observed actions probability 0."""
     q = step_distributions(history.server_actions(), model, history.length)
     scores = score_tables(q)
     z = float(observed_scores(scores, history.client_actions()).mean())
