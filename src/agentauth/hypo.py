@@ -111,7 +111,7 @@ def null_tail(q: np.ndarray, scores: np.ndarray, observed) -> np.ndarray | float
     # Within _NORMAL_LIMIT sd of the mean Lugannani-Rice cancels; the two
     # tails' skewness terms cancel too, leaving the normal limit.
     near = ~exact & (cut > tie) & (cut < _NORMAL_LIMIT * np.sqrt(var))
-    p[near] = [math.erfc(c / math.sqrt(2.0 * v)) for c, v in zip(cut[near], var[near])]
+    p[near] = [_normal_two_sided(c, 0.0, v) for c, v in zip(cut[near], var[near])]
     saddle = ~exact & (cut > tie) & ~near
     if saddle.any():
         # The lower tail P(S <= -cut) is the upper tail of -S: both at once.

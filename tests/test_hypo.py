@@ -143,6 +143,22 @@ class TestNullTail:
         single = [null_tail(q[b], scores[b], z[b]) for b in range(3)]
         assert batched.tolist() == pytest.approx(single, rel=1e-12, abs=0)
 
+    def test_continuous_where_the_normal_limit_takes_over(self):
+        # Within 1e-3 sd of the mean the tail is the normal limit; just
+        # outside it Lugannani-Rice, whose two tails differ from the limit
+        # at first order in the cut: about 6e-6 here, far from any alpha.
+        rng = np.random.default_rng(23)
+        q = rng.dirichlet(np.ones(4), size=40)
+        scores = score_tables(q)
+        mean, variance = analytic_moments(q, scores)
+        for side in (1, -1):
+            inner, outer = (
+                null_tail(q, scores, mean + side * f * 1e-3 * np.sqrt(variance))
+                for f in (0.999, 1.001)
+            )
+            assert 0.99 < min(inner, outer) and max(inner, outer) < 1
+            assert abs(inner - outer) < 1e-5
+
     def test_top_of_support_is_the_top_atom(self):
         # Every step at its most likely action, whose score lies further
         # above the mean than any sequence lies below it: p is exactly that
