@@ -133,19 +133,31 @@ def cmd_eval_auth(args) -> int:
     cfg = load_config(args.config, "hypo", _dim_overrides(args))
     server, legit = _load_or_generate(args, cfg)
     trials = args.trials or cfg["trials"]
+    l = cfg["l"]
     rng = np.random.default_rng(args.seed)
-    tests = {"hypo": lambda history: hypo.hypothesis_test(history, legit, cfg["alpha"])}
+
+    def hypo_test(history):
+        return hypo.hypothesis_test(history, legit, cfg["alpha"])
+
+    tests = {"hypo": hypo_test}
     if args.classifier:
         model = clf.load_classifier(args.classifier)
         tests["clf"] = lambda history: clf.classifier_test(model, history)
-    fields = ["test", "metric", "trials", "accuracy", "seed"]
     rows = []
     for test_name, test_fn in tests.items():
         for metric in METRICS:
-            acc = metric_accuracy(metric, server, legit, cfg, cfg["l"], trials, rng, test_fn)
-            rows.append(dict(zip(fields, (test_name, metric, trials, acc, args.seed))))
+            acc = metric_accuracy(metric, server, legit, cfg, l, trials, rng, test_fn)
+            rows.append(
+                {
+                    "test": test_name,
+                    "metric": metric,
+                    "trials": trials,
+                    "accuracy": acc,
+                    "seed": args.seed,
+                }
+            )
             print(f"{test_name:5s} {metric:7s} accuracy={acc:.3f}")
-    write_csv(args.out, fields, rows)
+    write_csv(args.out, ["test", "metric", "trials", "accuracy", "seed"], rows)
     return 0
 
 
@@ -155,17 +167,24 @@ def cmd_length_sweep(args) -> int:
     trials = args.trials or cfg["trials"]
     rng = np.random.default_rng(args.seed)
 
-    def test_fn(history):
-        return hypo.hypothesis_test(history, legit, cfg["alpha"])
-
-    fields = ["l", "metric", "trials", "accuracy", "seed"]
     rows = []
     for l in args.grid or LENGTH_SWEEP_GRID:
+        def test_fn(history):
+            return hypo.hypothesis_test(history, legit, cfg["alpha"])
+
         for metric in METRICS:
             acc = metric_accuracy(metric, server, legit, cfg, l, trials, rng, test_fn)
-            rows.append(dict(zip(fields, (l, metric, trials, acc, args.seed))))
+            rows.append(
+                {
+                    "l": l,
+                    "metric": metric,
+                    "trials": trials,
+                    "accuracy": acc,
+                    "seed": args.seed,
+                }
+            )
             print(f"l={l:4d} {metric:7s} accuracy={acc:.3f}")
-    write_csv(args.out, fields, rows)
+    write_csv(args.out, ["l", "metric", "trials", "accuracy", "seed"], rows)
     return 0
 
 
@@ -207,18 +226,23 @@ def cmd_eval_probe(args) -> int:
         "trained-eps0.25": lambda: rl.PolicyAgent(policy, legit, rl.MODE_EPS_GREEDY),
         "uniform": lambda: rl.UniformAgent(legit.n_actions),
     }
-    fields = ["series", "step", "mean_p", "stderr_p", "seed"]
     rows = []
     for label, factory in modes.items():
         res = rl.evaluate_policy(factory, population, legit, cfg["l"], rng)
         for t in range(cfg["l"]):
-            values = (label, t + 1, res.mean_p[t], res.stderr_p[t], args.seed)
-            rows.append(dict(zip(fields, values)))
+            rows.append(
+                {
+                    "series": label,
+                    "step": t + 1,
+                    "mean_p": res.mean_p[t],
+                    "stderr_p": res.stderr_p[t],
+                    "seed": args.seed,
+                }
+            )
         print(f"{label:16s} final mean p = {res.mean_p[-1]:.3f}")
-    write_csv(args.out, fields, rows)
+    write_csv(args.out, ["series", "step", "mean_p", "stderr_p", "seed"], rows)
     if args.replay_out:
-        fields = ["series", "trials", "mean_final_p", "reject_rate", "seed"]
-        rows = []
+        replay_rows = []
         for label, mode in [
             ("trained-greedy", rl.MODE_GREEDY),
             ("trained-eps0.25", rl.MODE_EPS_GREEDY),
@@ -227,13 +251,24 @@ def cmd_eval_probe(args) -> int:
             finals, reject_rate = rl.evaluate_replay(
                 policy, legit, mode, args.trials, cfg["l"], rng, alpha=cfg["alpha"]
             )
-            values = (label, args.trials, float(finals.mean()), reject_rate, args.seed)
-            rows.append(dict(zip(fields, values)))
+            replay_rows.append(
+                {
+                    "series": label,
+                    "trials": args.trials,
+                    "mean_final_p": float(finals.mean()),
+                    "reject_rate": reject_rate,
+                    "seed": args.seed,
+                }
+            )
             print(
                 f"replay {label:16s} mean final p = {finals.mean():.3f} "
                 f"reject rate = {reject_rate:.2f}"
             )
-        write_csv(args.replay_out, fields, rows)
+        write_csv(
+            args.replay_out,
+            ["series", "trials", "mean_final_p", "reject_rate", "seed"],
+            replay_rows,
+        )
     return 0
 
 

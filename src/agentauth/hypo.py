@@ -6,9 +6,11 @@ client action is under the model's conditional distribution; the test
 statistic is the mean step score.  With the server actions held fixed the
 step scores are independent, so the null distribution of the statistic
 follows from the per-step distributions alone: null_tail convolves them
-exactly on small supports and takes a saddle-point tail (Daniels 1954;
-Lugannani and Rice 1980) beyond.  The transcript is rejected when its
-statistic is too extreme relative to the null.
+exactly wherever their sum provably takes few distinct values (short
+sessions, revisited nodes, literal trees' count ratios) and takes a
+saddle-point tail (Daniels 1954; Lugannani and Rice 1980) beyond.  The
+transcript is rejected when its statistic is too extreme relative to the
+null.
 
 No step of the test draws random numbers, so a logged transcript's p-value
 can be recomputed bit for bit.
@@ -25,7 +27,10 @@ from agentauth.engine import InteractionHistory
 from agentauth.models import Pdt, node_path
 
 DEFAULT_ALPHA = 0.1
-_EXACT_LOG2_ATOMS = 12
+# null_tail convolves exactly where the summed score provably takes so few
+# distinct values that they times the actions and the steps (the work) are
+# at most this.
+_EXACT_WORK = 1 << 21
 # Mean-scale slack: a statistic this close to the cut counts as at least as extreme.
 _TIE = 1e-12
 # Cuts closer to the mean than this many standard deviations take the normal limit.
@@ -90,8 +95,8 @@ def null_tail(q: np.ndarray, scores: np.ndarray, observed) -> np.ndarray | float
     P(|Z - mu| >= |observed - mu|) for Z the mean step score and mu its mean,
     counting statistics within _TIE of the cut as at least as extreme: an
     observed value at mu gives exactly 1, one beyond the support exactly 0.
-    Steps are independent given the server actions, so while there are at
-    most 2^_EXACT_LOG2_ATOMS action sequences the distribution is convolved
+    Steps are independent given the server actions, so wherever the summed
+    score provably takes few distinct values its distribution is convolved
     exactly; beyond, each tail is Lugannani-Rice's saddle-point tail.
     """
     q = np.asarray(q, dtype=np.float64)
@@ -103,19 +108,21 @@ def null_tail(q: np.ndarray, scores: np.ndarray, observed) -> np.ndarray | float
     cut = np.abs(np.reshape(observed, -1) * steps - means.sum(axis=-1))
     tie = _TIE * steps
     var = np.einsum("btn,btn,btn->b", q, centred, centred)
-    support = q > 0
-    exact = np.log2(np.count_nonzero(support, axis=-1)).sum(axis=-1) <= _EXACT_LOG2_ATOMS
     p = np.ones(cut.shape)
-    for b in np.flatnonzero(exact & (cut > tie)):
-        p[b] = _exact_tail(q[b], centred[b], support[b], cut[b] - tie)
+    rest = cut > tie
+    for b in np.flatnonzero(rest):
+        atoms = _atom_bound(q[b], scores[b], tie)
+        if atoms:
+            p[b] = _exact_tail(q[b], centred[b], cut[b], tie, atoms)
+            rest[b] = False
     # Within _NORMAL_LIMIT sd of the mean Lugannani-Rice cancels; the two
     # tails' skewness terms cancel too, leaving the normal limit.
-    near = ~exact & (cut > tie) & (cut < _NORMAL_LIMIT * np.sqrt(var))
+    near = rest & (cut < _NORMAL_LIMIT * np.sqrt(var))
     p[near] = [_normal_two_sided(c, 0.0, v) for c, v in zip(cut[near], var[near])]
-    saddle = ~exact & (cut > tie) & ~near
+    saddle = rest & ~near
     if saddle.any():
         # The lower tail P(S <= -cut) is the upper tail of -S: both at once.
-        both = (np.concatenate([a[saddle]] * 2) for a in (q, support, cut, var))
+        both = (np.concatenate([a[saddle]] * 2) for a in (q, q > 0, cut, var))
         q2, support2, cut2, var2 = both
         signed = np.concatenate([centred[saddle], -centred[saddle]])
         tails = _saddle_tails(q2, signed, support2, cut2, var2, tie)
@@ -123,16 +130,65 @@ def null_tail(q: np.ndarray, scores: np.ndarray, observed) -> np.ndarray | float
     return float(p[0]) if not lead else p.reshape(lead)
 
 
-def _exact_tail(q, centred, support, cut: float) -> float:
-    """P(|S| >= cut) by convolving the steps, merging equal partial sums."""
+def _spread(q, scores, tol: float):
+    """Support mask, lowest supported score and score span of each step,
+    and which steps' scores span more than tol."""
+    support = q > 0
+    low = np.where(support, scores, np.inf).min(axis=-1)
+    span = np.where(support, scores, -np.inf).max(axis=-1) - low
+    return support, low, span, span > tol
+
+
+def _atom_bound(q, scores, tol: float) -> int:
+    """A bound on the distinct values of the sum of one score per step,
+    steps whose scores span at most tol counting as constant, if one is
+    found within _EXACT_WORK / (actions * those steps); else 0.
+
+    Steps that repeat one distribution (a revisited node) contribute a
+    multiset of its values, not a product.  Scores on a common lattice of
+    spacing g (a literal tree's count ratios) reach at most sum(span) / g + 1
+    sums."""
+    support, low, span, spread = _spread(q, scores, tol)
+    limit = _EXACT_WORK // (q.shape[-1] * max(np.count_nonzero(spread), 1))
+    rows = np.ascontiguousarray(q[spread]).view(np.dtype((np.void, q.shape[-1] * 8)))
+    _, first, visits = np.unique(rows.ravel(), return_index=True, return_counts=True)
+    if 2**first.size <= limit:  # each distinct row at least doubles the count
+        bound = 1
+        for t, m in zip(np.flatnonzero(spread)[first], visits):
+            s = 1 + np.count_nonzero(np.diff(np.sort(scores[t, support[t]])) > tol)
+            bound *= math.comb(int(m) + s - 1, s - 1)
+        if bound <= limit:
+            return bound
+    offsets = scores - low[:, None]
+    g, finest = 0.0, span.sum() / max(limit - 1, 1)
+    for x in offsets[support & (offsets > tol)]:
+        # g = gcd(g, x) by Euclid, remainders within tol of 0 or of the
+        # divisor counting as 0; the gcd is at most every divisor.
+        a, b = g, float(x)
+        while b > tol:
+            if b < finest:
+                return 0
+            r = math.fmod(a, b)
+            a, b = b, (r if b - r > tol else 0.0)
+        g = a
+    return int(span.sum() / g) + 1 if g else 1
+
+
+def _exact_tail(q, centred, cut: float, tol: float, atoms: int) -> float:
+    """P(|S| >= cut - tol) by convolving the spread steps (the others add 0),
+    merging partial sums within tol of each other once there are more than
+    atoms of them (a bound on their distinct values)."""
+    support, _, _, spread = _spread(q, centred, tol)
     sums, probs = np.zeros(1), np.ones(1)
-    spread = support.sum(axis=-1) > 1  # a one-point step's centred score is 0
     for q_t, c_t, s_t in zip(q[spread], centred[spread], support[spread]):
         sums = np.add.outer(sums, c_t[s_t]).ravel()
         probs = np.multiply.outer(probs, q_t[s_t]).ravel()
-        sums, inverse = np.unique(sums, return_inverse=True)
-        probs = np.bincount(inverse, probs)
-    return min(float(probs[np.abs(sums) >= cut].sum()), 1.0)
+        if sums.size > atoms:
+            order = np.argsort(sums)
+            sums = sums[order]
+            starts = np.flatnonzero(np.diff(sums, prepend=-np.inf) > tol)
+            sums, probs = sums[starts], np.add.reduceat(probs[order], starts)
+    return min(float(probs[np.abs(sums) >= cut - tol].sum()), 1.0)
 
 
 def _saddle_tails(q, centred, support, x, var, tie: float) -> np.ndarray:

@@ -10,6 +10,7 @@ from agentauth.clf import Dataset, encode_history
 from agentauth.engine import InteractionHistory, run_interaction
 from agentauth.hypo import (
     _TIE,
+    _atom_bound,
     _normal_two_sided,
     action_scores,
     observed_scores,
@@ -82,18 +83,38 @@ def support_size(q) -> int:
     return math.prod(int(c) for c in np.count_nonzero(np.asarray(q) > 0, axis=1))
 
 
+def convolved_exactly(q, scores) -> bool:
+    """Whether null_tail takes the exact path for these steps."""
+    return _atom_bound(q, scores, _TIE * q.shape[0]) > 0
+
+
 def enumerated_p(q, scores, z):
     """Two-sided null p of statistic z by listing every client action
     sequence with positive probability."""
     steps = q.shape[0]
     support = [np.flatnonzero(row > 0) for row in q]
     mean = float((q * scores).sum(axis=1).mean())
-    p = 0.0
-    for seq in itertools.product(*support):
-        z_seq = float(np.mean(scores[np.arange(steps), seq]))
-        if abs(z_seq - mean) >= abs(z - mean) - _TIE:
-            p += float(np.prod(q[np.arange(steps), seq]))
-    return p
+    seqs = np.array(list(itertools.product(*support)), dtype=np.intp)
+    z_seq = scores[np.arange(steps), seqs].mean(axis=1)
+    extreme = np.abs(z_seq - mean) >= abs(z - mean) - _TIE
+    return float(np.prod(q[np.arange(steps), seqs], axis=1)[extreme].sum())
+
+
+def lattice_p(q, scores, z, unit):
+    """Two-sided null p of statistic z for scores that are integer multiples
+    of unit: the distribution of the summed score, keyed by its integer
+    multiple of unit, built one step at a time."""
+    steps = q.shape[0]
+    dist = {0: 1.0}
+    for q_t, s_t in zip(q, scores):
+        grown = {}
+        for k, p in dist.items():
+            for a in np.flatnonzero(q_t > 0):
+                key = k + round(s_t[a] / unit)
+                grown[key] = grown.get(key, 0.0) + p * q_t[a]
+        dist = grown
+    mean = float((q * scores).sum(axis=1).mean())
+    return sum(p for k, p in dist.items() if abs(k * unit / steps - mean) >= abs(z - mean) - _TIE)
 
 
 def decode_history(vector, n_actions: int) -> InteractionHistory:

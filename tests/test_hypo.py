@@ -16,7 +16,15 @@ from agentauth.hypo import (
 from agentauth.hypo import test_statistic as statistic
 from agentauth.models import Pdt, PdtAgent, generate_random_pdt, node_count
 from agentauth.adv import make_random_adversary
-from oracles import analytic_moments, incremental_p, mc_null_means, step_score
+from oracles import (
+    analytic_moments,
+    convolved_exactly,
+    enumerated_p,
+    incremental_p,
+    lattice_p,
+    mc_null_means,
+    step_score,
+)
 
 
 def literal_pdt(n, depth, row):
@@ -163,10 +171,62 @@ class TestNullTail:
         # Every step at its most likely action, whose score lies further
         # above the mean than any sequence lies below it: p is exactly that
         # sequence's probability, on both sides of the exact/saddle switch.
-        for steps in (6, 30):
-            q = np.tile([0.4, 0.3, 0.3], (steps, 1))
+        jitter = np.random.default_rng(24).uniform(-0.01, 0.01, size=(30, 2))
+        distinct = np.column_stack([0.4 + jitter[:, 0], 0.3 + jitter[:, 1], np.zeros(30)])
+        distinct[:, 2] = 1.0 - distinct[:, :2].sum(axis=1)
+        for q, exact in ((np.tile([0.4, 0.3, 0.3], (30, 1)), True), (distinct, False)):
             scores = score_tables(q)
-            assert null_tail(q, scores, scores[0, 0]) == pytest.approx(0.4**steps, rel=1e-12)
+            assert convolved_exactly(q, scores) == exact
+            top = scores[np.arange(30), np.argmax(q, axis=1)].mean()
+            assert null_tail(q, scores, top) == pytest.approx(np.prod(q.max(axis=1)), rel=1e-12)
+
+
+def count_ratio_pdt(n, depth, totals, rng):
+    """A literal tree whose every row is counts over a total drawn from
+    totals, like an MLE copy fitted from a few sessions."""
+    nodes = np.zeros((node_count(n, depth), n))
+    for row, total in zip(nodes, rng.choice(totals, size=len(nodes))):
+        np.add.at(row, rng.integers(0, n, size=total), 1.0 / total)
+    return Pdt(n, depth, 1.0, nodes, node_kind="literal")
+
+
+class TestLiteralTrees:
+    """A literal tree's scores lie on a lattice, so however long the session
+    the summed score takes few values and the tail is exact."""
+
+    def sessions(self, model, l, count, seed):
+        rng = np.random.default_rng(seed)
+        server = generate_random_pdt(model.n_actions, model.depth, 1.0, rng)
+        clients = [PdtAgent(model), make_random_adversary(model.n_actions, model.depth, 1.0, rng)]
+        for i in range(count):
+            h = run_interaction(PdtAgent(server), clients[i % 2], l, rng, rng)
+            q = step_distributions(h.server_actions(), model, h.length)
+            yield h, q, score_tables(q)
+
+    @pytest.mark.parametrize("n,k,l", [(6, 2, 66), (10, 5, 200)])
+    def test_quarters_match_lattice_oracle(self, n, k, l):
+        # Probabilities in quarters make scores multiples of 1/8.
+        model = count_ratio_pdt(n, k, [4], np.random.default_rng(n))
+        for h, q, scores in self.sessions(model, l, 4, n + 1):
+            assert convolved_exactly(q, scores)
+            exact = lattice_p(q, scores, statistic(h, model), 1 / 8)
+            assert p_value(h, model) == pytest.approx(exact, rel=0, abs=1e-12)
+
+    def test_thirds_quarters_and_sixths_match_lattice_oracle(self):
+        # Totals 3, 4 and 6 put every score on multiples of 1/24.
+        model = count_ratio_pdt(4, 2, [3, 4, 6], np.random.default_rng(3))
+        for h, q, scores in self.sessions(model, 80, 6, 4):
+            assert convolved_exactly(q, scores)
+            exact = lattice_p(q, scores, statistic(h, model), 1 / 24)
+            assert p_value(h, model) == pytest.approx(exact, rel=0, abs=1e-12)
+
+    def test_short_quarter_session_matches_enumeration(self):
+        # Ten steps of three actions in quarters: up to 3^10 sequences.
+        rows = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5], [0.25, 0.5, 0.25]]
+        model = Pdt(3, 1, 1.0, np.array(rows), node_kind="literal")
+        for h, q, scores in self.sessions(model, 9, 8, 5):
+            exact = enumerated_p(q, scores, statistic(h, model))
+            assert p_value(h, model) == pytest.approx(exact, rel=0, abs=1e-12)
 
 
 class TestPValue:
