@@ -16,10 +16,11 @@ import csv
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from agentauth import adv, clf, hypo, net, rl
+from agentauth import adv, clf, engine, hypo, net, rl
 from agentauth.engine import derive_key, load_transcript, run_interaction, run_pdt_sessions
 from agentauth.models import Pdt, PdtAgent, generate_random_pdt, load_pdt, save_pdt
 
@@ -55,15 +56,20 @@ EXPERIMENT_DEFAULTS = {
 
 LENGTH_SWEEP_GRID = [10, 25, 50, 100, 200]
 METRICS = ["legit", "random", "replay", "mle"]
-# What reading a model or transcript file raises for a missing or malformed file.
-_LOAD_ERRORS = (OSError, KeyError, ValueError)
+# eval-probe's server series: CSV label -> rl deployment mode.
+PROBE_SERIES = {
+    "trained-greedy": rl.MODE_GREEDY,
+    "trained-eps0.25": rl.MODE_EPS_GREEDY,
+    "uniform": rl.MODE_UNIFORM,
+}
+# What reading an input file raises for a missing or malformed file.
+_LOAD_ERRORS = (OSError, KeyError, TypeError, ValueError)
 
 
 def load_config(path, experiment: str, overrides: dict) -> dict:
     cfg = dict(EXPERIMENT_DEFAULTS[experiment])
     if path:
-        with open(path) as f:
-            cfg.update(json.load(f))
+        cfg.update(_read(lambda p: dict(json.loads(Path(p).read_text())), path))
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg
 
@@ -129,63 +135,49 @@ def cmd_gen_models(args) -> int:
     return 0
 
 
-def cmd_eval_auth(args) -> int:
+def accuracy_loop(args, key: str, label: str, grid=None, classifier=None) -> int:
+    """Accuracy of each (l, test, metric) cell, one CSV row per cell keyed by
+    its `key` column ("l" or "test"): eval-auth runs the configured l alone,
+    with hypo and the optional clf test, and length-sweep runs hypo over its
+    grid.  `label` formats a cell's l and test for the printed line."""
     cfg = load_config(args.config, "hypo", _dim_overrides(args))
     server, legit = _load_or_generate(args, cfg)
     trials = args.trials or cfg["trials"]
-    l = cfg["l"]
     rng = np.random.default_rng(args.seed)
 
     def hypo_test(history):
         return hypo.hypothesis_test(history, legit, cfg["alpha"])
 
     tests = {"hypo": hypo_test}
-    if args.classifier:
-        model = clf.load_classifier(args.classifier)
-        tests["clf"] = lambda history: clf.classifier_test(model, history)
+    if classifier is not None:
+        tests["clf"] = lambda history: clf.classifier_test(classifier, history)
     rows = []
-    for test_name, test_fn in tests.items():
-        for metric in METRICS:
-            acc = metric_accuracy(metric, server, legit, cfg, l, trials, rng, test_fn)
-            rows.append(
-                {
-                    "test": test_name,
-                    "metric": metric,
-                    "trials": trials,
-                    "accuracy": acc,
-                    "seed": args.seed,
-                }
-            )
-            print(f"{test_name:5s} {metric:7s} accuracy={acc:.3f}")
-    write_csv(args.out, ["test", "metric", "trials", "accuracy", "seed"], rows)
+    for l in grid or [cfg["l"]]:
+        for test_name, test_fn in tests.items():
+            cell = {"l": l, "test": test_name}
+            for metric in METRICS:
+                acc = metric_accuracy(metric, server, legit, cfg, l, trials, rng, test_fn)
+                rows.append(
+                    {
+                        key: cell[key],
+                        "metric": metric,
+                        "trials": trials,
+                        "accuracy": acc,
+                        "seed": args.seed,
+                    }
+                )
+                print(f"{label.format(**cell)} {metric:7s} accuracy={acc:.3f}")
+    write_csv(args.out, [key, "metric", "trials", "accuracy", "seed"], rows)
     return 0
+
+
+def cmd_eval_auth(args) -> int:
+    classifier = _read(clf.load_classifier, args.classifier) if args.classifier else None
+    return accuracy_loop(args, "test", "{test:5s}", classifier=classifier)
 
 
 def cmd_length_sweep(args) -> int:
-    cfg = load_config(args.config, "hypo", _dim_overrides(args))
-    server, legit = _load_or_generate(args, cfg)
-    trials = args.trials or cfg["trials"]
-    rng = np.random.default_rng(args.seed)
-
-    rows = []
-    for l in args.grid or LENGTH_SWEEP_GRID:
-        def test_fn(history):
-            return hypo.hypothesis_test(history, legit, cfg["alpha"])
-
-        for metric in METRICS:
-            acc = metric_accuracy(metric, server, legit, cfg, l, trials, rng, test_fn)
-            rows.append(
-                {
-                    "l": l,
-                    "metric": metric,
-                    "trials": trials,
-                    "accuracy": acc,
-                    "seed": args.seed,
-                }
-            )
-            print(f"l={l:4d} {metric:7s} accuracy={acc:.3f}")
-    write_csv(args.out, ["l", "metric", "trials", "accuracy", "seed"], rows)
-    return 0
+    return accuracy_loop(args, "l", "l={l:4d}", grid=args.grid or LENGTH_SWEEP_GRID)
 
 
 def cmd_train_probe(args) -> int:
@@ -216,19 +208,16 @@ def cmd_train_probe(args) -> int:
 def cmd_eval_probe(args) -> int:
     cfg = load_config(args.config, "probe", _dim_overrides(args))
     _, legit = _load_or_generate(args, cfg)
-    policy = rl.ProbePolicy.load(args.policy)
+    policy = _read(rl.ProbePolicy.load, args.policy)
     rng = np.random.default_rng(args.seed)
     population = adv.sample_population(
         cfg["n"], cfg["k"], cfg["tau_client"], args.trials, args.seed + 2
     )
-    modes = {
-        "trained-greedy": lambda: rl.PolicyAgent(policy, legit, rl.MODE_GREEDY),
-        "trained-eps0.25": lambda: rl.PolicyAgent(policy, legit, rl.MODE_EPS_GREEDY),
-        "uniform": lambda: rl.UniformAgent(legit.n_actions),
-    }
     rows = []
-    for label, factory in modes.items():
-        res = rl.evaluate_policy(factory, population, legit, cfg["l"], rng)
+    for label, mode in PROBE_SERIES.items():
+        res = rl.evaluate_policy(
+            lambda: rl.make_server(policy, legit, mode), population, legit, cfg["l"], rng
+        )
         for t in range(cfg["l"]):
             rows.append(
                 {
@@ -243,11 +232,7 @@ def cmd_eval_probe(args) -> int:
     write_csv(args.out, ["series", "step", "mean_p", "stderr_p", "seed"], rows)
     if args.replay_out:
         replay_rows = []
-        for label, mode in [
-            ("trained-greedy", rl.MODE_GREEDY),
-            ("trained-eps0.25", rl.MODE_EPS_GREEDY),
-            ("uniform", rl.MODE_UNIFORM),
-        ]:
+        for label, mode in PROBE_SERIES.items():
             finals, reject_rate = rl.evaluate_replay(
                 policy, legit, mode, args.trials, cfg["l"], rng, alpha=cfg["alpha"]
             )
@@ -276,22 +261,15 @@ def cmd_serve(args) -> int:
     try:
         config = net.ServerConfig(l=args.l, alpha=args.alpha, seed=args.seed)
     except ValueError as exc:
-        print(f"invalid server configuration: {exc}", file=sys.stderr)
-        return 1
-    registry = {}
-    path = args.registry
-    try:
-        for name in os.listdir(args.registry):
-            if name.endswith(".json"):
-                path = os.path.join(args.registry, name)
-                registry[name[:-5]] = load_pdt(path)
-        path = args.server_model
-        server_model = load_pdt(path)
-    except _LOAD_ERRORS as exc:
-        return _load_failed("serve", path, exc)
+        raise _Failed(f"invalid server configuration: {exc}") from None
+    registry = {
+        name[:-5]: _read(load_pdt, os.path.join(args.registry, name))
+        for name in _read(os.listdir, args.registry)
+        if name.endswith(".json")
+    }
+    server_model = _read(load_pdt, args.server_model)
     if not registry:
-        print(f"no model files in registry directory {args.registry}", file=sys.stderr)
-        return 1
+        raise _Failed(f"no model files in registry directory {args.registry}")
     host, port = _parse_addr(args.listen)
     server = net.AmiServer(
         (host, port), registry, lambda: PdtAgent(server_model), config
@@ -305,12 +283,12 @@ def cmd_serve(args) -> int:
 
 
 def cmd_client(args) -> int:
-    try:
-        model = load_pdt(args.model)
-    except _LOAD_ERRORS as exc:
-        return _load_failed("client", args.model, exc)
+    model = _read(load_pdt, args.model)
     rng = np.random.default_rng(args.seed)
-    result = net.client_authenticate(_parse_addr(args.connect), args.user, model, rng)
+    try:
+        result = net.client_authenticate(_parse_addr(args.connect), args.user, model, rng)
+    except (OSError, net.FrameError, net.ProtocolError, engine.ProtocolViolation) as exc:
+        raise _Failed(f"{args.connect}: {type(exc).__name__}: {exc}") from None
     if not result.accepted:
         print("rejected")
         return 2
@@ -322,26 +300,29 @@ def cmd_client(args) -> int:
 
 
 def cmd_derive_key(args) -> int:
-    path = args.model
-    try:
-        model = load_pdt(path)
-        path = args.transcript
-        history = load_transcript(path)
-    except _LOAD_ERRORS as exc:
-        return _load_failed("derive-key", path, exc)
+    model = _read(load_pdt, args.model)
+    history = _read(load_transcript, args.transcript)
     print(derive_key(history, model).hex())
     return 0
 
 
-def _load_failed(command: str, path, exc: Exception) -> int:
-    print(f"agentauth {command}: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return 1
+class _Failed(Exception):
+    """A subcommand cannot go on; main prints the reason as one stderr line
+    and exits 1."""
+
+
+def _read(loader, path):
+    """loader(path), with a missing or malformed file raised as _Failed."""
+    try:
+        return loader(path)
+    except _LOAD_ERRORS as exc:
+        raise _Failed(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def _load_or_generate(args, cfg):
     if getattr(args, "models", None):
-        server = load_pdt(os.path.join(args.models, "server.json"))
-        legit = load_pdt(os.path.join(args.models, "user.json"))
+        server = _read(load_pdt, os.path.join(args.models, "server.json"))
+        legit = _read(load_pdt, os.path.join(args.models, "user.json"))
         return server, legit
     return generate_models(cfg, args.seed)
 
@@ -431,7 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failed as exc:
+        print(f"agentauth {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

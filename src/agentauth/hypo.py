@@ -294,6 +294,9 @@ class RunningPValue:
         self.steps = 0
 
     def update(self, server_action: int, client_action: int) -> None:
+        n = self.model.n_actions
+        if not (0 < server_action <= n and 0 < client_action <= n):
+            raise ValueError(f"step {(server_action, client_action)} has an action outside 1..{n}")
         q = self.model.node_probs(self.model.node_index(self._window))
         scores = action_scores(q)
         self._sum_score += float(scores[client_action - 1])

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from agentauth.adv import ReplayAgent
 from agentauth.engine import run_interaction
 from agentauth.hypo import (
     RunningPValue,
@@ -311,12 +312,10 @@ def evaluate_replay(
 ):
     """Record legitimate sessions under the given policy mode, replay their
     client actions against fresh sessions, and report the final p-values."""
-    from agentauth.adv import ReplayAgent
-
     finals = []
     for _ in range(count):
         recorded = run_interaction(
-            _make_server(policy, legit, mode),
+            make_server(policy, legit, mode),
             PdtAgent(legit),
             steps - 1,
             rng,
@@ -324,7 +323,7 @@ def evaluate_replay(
             n_actions=legit.n_actions,
         )
         replayed = run_interaction(
-            _make_server(policy, legit, mode),
+            make_server(policy, legit, mode),
             ReplayAgent(recorded.client_actions()),
             steps - 1,
             rng,
@@ -336,7 +335,8 @@ def evaluate_replay(
     return finals, float(np.mean(finals < alpha))
 
 
-def _make_server(policy, legit, mode):
+def make_server(policy, legit, mode):
+    """Fresh server agent for one session of the given deployment mode."""
     if mode == MODE_UNIFORM:
         return UniformAgent(legit.n_actions)
     return PolicyAgent(policy, legit, mode)

@@ -1,12 +1,14 @@
 import csv
+import hashlib
 import json
+import socket
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from agentauth import adv
+from agentauth import adv, net
 from agentauth.cli import EXPERIMENT_DEFAULTS, LENGTH_SWEEP_GRID, fit_mle_client, main
 from agentauth.engine import derive_key, run_interaction, save_transcript
 from agentauth.models import PdtAgent, generate_random_pdt, load_pdt, node_count, save_pdt
@@ -15,6 +17,16 @@ from agentauth.models import PdtAgent, generate_random_pdt, load_pdt, node_count
 def read_rows(path):
     with open(path) as f:
         return list(csv.DictReader(f))
+
+
+def assert_refused(argv, capsys, *needles):
+    """The command exits 1 with one stderr line naming every needle."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    for needle in needles:
+        assert needle in captured.err
 
 
 class TestGenModels:
@@ -86,14 +98,10 @@ class TestDeriveKey:
 
     @staticmethod
     def _refused(model_path, transcript_path, capsys, needle):
-        assert main([
-            "derive-key", "--model", str(model_path),
-            "--transcript", str(transcript_path),
-        ]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
-        assert needle in captured.err
+        assert_refused(
+            ["derive-key", "--model", str(model_path), "--transcript", str(transcript_path)],
+            capsys, needle,
+        )
 
     def test_model_missing_field_refused(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -121,15 +129,6 @@ class TestModelFileErrors:
     """serve and client report an unreadable model file as one stderr line
     and exit 1, as derive-key does, instead of a traceback."""
 
-    @staticmethod
-    def _refused(argv, capsys, *needles):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
-        for needle in needles:
-            assert needle in captured.err
-
     @pytest.fixture()
     def server_model(self, tmp_path):
         path = tmp_path / "server.json"
@@ -140,7 +139,7 @@ class TestModelFileErrors:
         registry = tmp_path / "registry"
         registry.mkdir()
         (registry / "alice.json").write_text('{"version": 2}')
-        self._refused(
+        assert_refused(
             ["serve", "--listen", "127.0.0.1:0", "--registry", str(registry),
              "--server-model", str(server_model)],
             capsys, "agentauth serve:", "alice.json", "ModelFormatError",
@@ -151,7 +150,7 @@ class TestModelFileErrors:
         registry.mkdir()
         save_pdt(generate_random_pdt(3, 2, 0.3, np.random.default_rng(11)), registry / "alice.json")
         missing = tmp_path / "absent.json"
-        self._refused(
+        assert_refused(
             ["serve", "--listen", "127.0.0.1:0", "--registry", str(registry),
              "--server-model", str(missing)],
             capsys, "agentauth serve:", str(missing), "FileNotFoundError",
@@ -159,10 +158,150 @@ class TestModelFileErrors:
 
     def test_client_missing_model(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
-        self._refused(
+        assert_refused(
             ["client", "--connect", "127.0.0.1:1", "--user", "alice", "--model", str(missing)],
             capsys, "agentauth client:", str(missing), "FileNotFoundError",
         )
+
+
+class TestExperimentInputErrors:
+    """Every file an experiment command reads is reported as one stderr line
+    and exit 1 when it is missing or malformed, not as a traceback."""
+
+    SMALL = ["--n", "3", "--k", "1", "--l", "5", "--trials", "2"]
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("eval-auth", []),
+            ("length-sweep", []),
+            ("train-probe", ["--steps", "10"]),
+            ("eval-probe", ["--policy", "unused.json"]),
+        ],
+    )
+    def test_missing_models_dir(self, tmp_path, capsys, command, extra):
+        models = tmp_path / "nodir"
+        assert_refused(
+            [command, "--out", str(tmp_path / "out"), "--models", str(models), *extra],
+            capsys, f"agentauth {command}:", str(models / "server.json"), "FileNotFoundError",
+        )
+
+    def test_malformed_models_file(self, tmp_path, capsys):
+        models = tmp_path / "models"
+        assert main(["gen-models", "--experiment", "probe", "--k", "1", "--out", str(models)]) == 0
+        (models / "user.json").write_text('{"version": 2}')
+        capsys.readouterr()
+        assert_refused(
+            ["eval-auth", "--out", str(tmp_path / "a.csv"), "--models", str(models), *self.SMALL],
+            capsys, "agentauth eval-auth:", "user.json", "ModelFormatError",
+        )
+
+    @pytest.mark.parametrize(
+        "text, needle", [(None, "FileNotFoundError"), ('{"epsilon": 0.25}', "KeyError")]
+    )
+    def test_bad_policy(self, tmp_path, capsys, text, needle):
+        policy = tmp_path / "policy.json"
+        if text is not None:
+            policy.write_text(text)
+        assert_refused(
+            ["eval-probe", "--policy", str(policy), "--out", str(tmp_path / "c.csv"), *self.SMALL],
+            capsys, "agentauth eval-probe:", str(policy), needle,
+        )
+
+    @pytest.mark.parametrize("text, needle", [(None, "FileNotFoundError"), ("{", "JSONDecodeError")])
+    def test_bad_classifier(self, tmp_path, capsys, text, needle):
+        classifier = tmp_path / "clf.json"
+        if text is not None:
+            classifier.write_text(text)
+        assert_refused(
+            ["eval-auth", "--classifier", str(classifier), "--out", str(tmp_path / "a.csv"),
+             *self.SMALL],
+            capsys, "agentauth eval-auth:", str(classifier), needle,
+        )
+
+    @pytest.mark.parametrize("text, needle", [(None, "FileNotFoundError"), ("[1, 2]", "TypeError")])
+    def test_bad_config(self, tmp_path, capsys, text, needle):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        assert_refused(
+            ["length-sweep", "--config", str(config), "--out", str(tmp_path / "s.csv")],
+            capsys, "agentauth length-sweep:", str(config), needle,
+        )
+
+
+class TestClientFailures:
+    """The client reports an unreachable server or a protocol error as one
+    stderr line and exit 1, apart from 2 (reject) and 3 (tag mismatch)."""
+
+    @pytest.fixture()
+    def models(self, tmp_path):
+        rng = np.random.default_rng(8)
+        legit = generate_random_pdt(3, 2, 0.3, rng)
+        save_pdt(legit, tmp_path / "user.json")
+        return legit, generate_random_pdt(3, 2, 1.0, rng), tmp_path / "user.json"
+
+    def test_closed_port(self, capsys, models):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert_refused(
+            ["client", "--connect", f"127.0.0.1:{port}", "--user", "alice",
+             "--model", str(models[2])],
+            capsys, "agentauth client:", f"127.0.0.1:{port}", "ConnectionRefusedError",
+        )
+
+    def test_unknown_user(self, capsys, models):
+        legit, server_model, model_path = models
+        server = net.AmiServer(
+            ("127.0.0.1", 0), {"alice": legit}, lambda: PdtAgent(server_model),
+            net.ServerConfig(l=10, timeout=5.0, seed=1),
+        )
+        server.start_background()
+        try:
+            assert_refused(
+                ["client", "--connect", f"127.0.0.1:{server.server_address[1]}",
+                 "--user", "bob", "--model", str(model_path)],
+                capsys, "agentauth client:", "ProtocolError", "unknown user 'bob'",
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+class TestAccuracyLoop:
+    """eval-auth and length-sweep share one loop; their CSVs are pinned to
+    digests taken before the two commands were merged."""
+
+    def test_eval_auth_is_length_sweep_at_its_l(self, tmp_path):
+        dims = ["--seed", "3", "--n", "3", "--k", "2", "--trials", "10"]
+        auth, sweep = tmp_path / "auth.csv", tmp_path / "sweep.csv"
+        assert main(["eval-auth", "--l", "20", "--out", str(auth), *dims]) == 0
+        assert main(["length-sweep", "--grid", "20", "--out", str(sweep), *dims]) == 0
+        auth_rows, sweep_rows = read_rows(auth), read_rows(sweep)
+        assert {r.pop("test") for r in auth_rows} == {"hypo"}
+        assert {r.pop("l") for r in sweep_rows} == {"20"}
+        assert auth_rows == sweep_rows
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["eval-auth", "--seed", "3", "--n", "3", "--k", "2", "--l", "20",
+                 "--trials", "10"],
+                "bf33ae50e63beb4527acbdc33cc699aaaf707473c77333c4cc08e023fdb0f395",
+            ),
+            (
+                ["length-sweep", "--seed", "4", "--n", "3", "--k", "2",
+                 "--grid", "5", "10", "20", "--trials", "10"],
+                "aa2399c03378cf7f2541171ac17d9eca9235075ff11ddd0dace0098c005dbbf1",
+            ),
+        ],
+    )
+    def test_golden_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestFitMleClient:

@@ -335,6 +335,15 @@ class TestIncrementalP:
             prefix = InteractionHistory(steps=h.steps[: t + 1], n_actions=3)
             assert running.p == pytest.approx(incremental_p(prefix, model))
 
+    @pytest.mark.parametrize("step", [(1, 0), (1, 4), (0, 1), (4, 1)])
+    def test_running_refuses_action_outside_range(self, step):
+        # Client action 0 used to be scored as action n (index -1 wraps), and
+        # a bad server action was caught only by the next update.
+        running = RunningPValue(generate_random_pdt(3, 2, 0.4, np.random.default_rng(15)))
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            running.update(*step)
+        assert running.steps == 0 and running.p == 1.0
+
 
 class TestReplayProperty:
     def test_replayed_actions_score_below_null_mean(self):
