@@ -320,11 +320,19 @@ def _read(loader, path):
 
 
 def _load_or_generate(args, cfg):
-    if getattr(args, "models", None):
-        server = _read(load_pdt, os.path.join(args.models, "server.json"))
-        legit = _read(load_pdt, os.path.join(args.models, "user.json"))
-        return server, legit
-    return generate_models(cfg, args.seed)
+    """Models from cfg and the seed, or from --models, whose n and k replace cfg's."""
+    if not getattr(args, "models", None):
+        return generate_models(cfg, args.seed)
+    server = _read(load_pdt, os.path.join(args.models, "server.json"))
+    legit = _read(load_pdt, os.path.join(args.models, "user.json"))
+    if server.n_actions != legit.n_actions:
+        raise _Failed(f"{args.models}: server.json and user.json differ in n")
+    for key, value in (("n", legit.n_actions), ("k", legit.depth)):
+        given = getattr(args, key, None)
+        if given not in (None, value):
+            raise _Failed(f"--{key} {given} disagrees with {key}={value} of {args.models}")
+        cfg[key] = value
+    return server, legit
 
 
 def _dim_overrides(args) -> dict:
@@ -334,6 +342,8 @@ def _dim_overrides(args) -> dict:
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
+    if not (port.isdecimal() and int(port) <= 65535):
+        raise _Failed(f"address {text!r} is not [host:]port with a port in 0..65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -341,7 +351,7 @@ def _add_common(p, out_required=True):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=out_required, help="output path")
-    p.add_argument("--models", help="directory with server.json / user.json")
+    p.add_argument("--models", help="directory with server.json / user.json; sets n and k")
     p.add_argument("--trials", type=int)
     for flag, typ in [
         ("--n", int),

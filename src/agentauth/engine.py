@@ -130,9 +130,9 @@ def run_pdt_sessions(server: Pdt, clients: Sequence[Pdt], u: np.ndarray) -> np.n
     table = np.concatenate([server._probs] + [c._probs for c in distinct])
     client_base = server.num_nodes + distinct[0].num_nodes * np.array([slot[id(c)] for c in clients])
     base = np.stack([np.zeros(batch, np.int64), client_base])
-    # Row 0 is the server side, row 1 the client side.  A side's node is
-    # offset[min(t, depth)] plus the base-n code of the opponent's last depth
-    # actions, kept mod n^depth.
+    # Row 0 is the server side, row 1 the client side.  Each walks by
+    # Pdt.next_node's rule, batched: offset[min(t, depth)] plus the base-n
+    # code of the opponent's last depth actions, kept mod n^depth.
     depths = np.array([[server.depth], [depth]])
     modulus = n**depths
     code = np.zeros((2, batch), dtype=np.int64)

@@ -281,13 +281,13 @@ class RunningPValue:
     """Incremental accumulator for the normal-approximation p.
 
     update() is called once per step with both simultaneous actions; the
-    step's conditional distribution is taken before the server action is
-    appended to the context window, matching the simultaneity convention.
+    step's conditional distribution is taken at `node` before `node` takes
+    its Pdt.next_node step by the server action, matching simultaneity.
     """
 
     def __init__(self, model: Pdt):
         self.model = model
-        self._window: list[int] = []
+        self.node = 0
         self._sum_score = 0.0
         self._sum_mean = 0.0
         self._sum_var = 0.0
@@ -297,16 +297,14 @@ class RunningPValue:
         n = self.model.n_actions
         if not (0 < server_action <= n and 0 < client_action <= n):
             raise ValueError(f"step {(server_action, client_action)} has an action outside 1..{n}")
-        q = self.model.node_probs(self.model.node_index(self._window))
+        q = self.model.node_probs(self.node)
         scores = action_scores(q)
         self._sum_score += float(scores[client_action - 1])
         m = float((q * scores).sum())
         self._sum_mean += m
         self._sum_var += float((q * scores**2).sum()) - m * m
         self.steps += 1
-        self._window.append(server_action)
-        if len(self._window) > self.model.depth:
-            self._window.pop(0)
+        self.node = self.model.next_node(self.node, server_action)
 
     @property
     def p(self) -> float:

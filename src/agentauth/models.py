@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +40,10 @@ def node_path(opponent_actions, n_actions: int, depth: int, steps: int) -> np.nd
     """Breadth-first node index for each step t < steps: the node reached by
     the opponent's last min(t, depth) actions before t, oldest first.
 
-    Node t is offset[min(t, depth)] plus the base-n code of that window, where
-    offset[j] = (n^j - 1) / (n - 1) counts the nodes above level j.  Only the
-    first steps - 1 actions are read; each must lie in 1..n_actions.
+    Each node is a fold from the root by Pdt.next_node's child rule,
+    n·node + action, over that window; a fold from the root never passes
+    depth, so it never needs the rule's wrap.  Only the first steps - 1
+    actions are read; each must lie in 1..n_actions.
     """
     used = np.asarray(opponent_actions, dtype=np.int64)[: max(steps - 1, 0)]
     if used.size < steps - 1:
@@ -51,12 +51,11 @@ def node_path(opponent_actions, n_actions: int, depth: int, steps: int) -> np.nd
     if used.size and (used.min() < 1 or used.max() > n_actions):
         bad = used[(used < 1) | (used > n_actions)][0]
         raise ValueError(f"action {bad} out of range 1..{n_actions}")
-    digits = used - 1
-    code = np.zeros(steps, dtype=np.int64)
-    for j in range(1, min(depth, steps - 1) + 1):
-        code[j:] += digits[: steps - j] * n_actions ** (j - 1)
-    level = np.minimum(np.arange(steps), depth)
-    return (n_actions**level - 1) // (n_actions - 1) + code
+    node = np.zeros(steps, dtype=np.int64)
+    # Oldest action first: pass j adds the action j steps back to every t >= j.
+    for j in range(min(depth, steps - 1), 0, -1):
+        node[j:] = node[j:] * n_actions + used[: steps - j]
+    return node
 
 
 def _softmax_rows(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -100,6 +99,8 @@ class Pdt:
     nodes: np.ndarray
     node_kind: str = NODE_KIND_LOGIT
     _probs: np.ndarray = field(init=False, repr=False, compare=False)
+    _total: int = field(init=False, repr=False, compare=False)
+    _leaves: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_actions < 2:
@@ -132,26 +133,23 @@ class Pdt:
         probs.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_probs", probs)
+        object.__setattr__(self, "_total", expected)
+        object.__setattr__(self, "_leaves", self.n_actions**self.depth)
 
     @property
     def num_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def node_index(self, context) -> int:
-        """Breadth-first index of the node reached by descending one level per
-        context entry (oldest opponent action first); empty context is the root."""
-        if len(context) > self.depth:
-            raise ValueError(
-                f"context length {len(context)} exceeds tree depth {self.depth}"
-            )
-        start, width, pos = 0, 1, 0
-        for a in context:
-            if not 1 <= a <= self.n_actions:
-                raise ValueError(f"action {a} out of range 1..{self.n_actions}")
-            start += width
-            width *= self.n_actions
-            pos = pos * self.n_actions + (a - 1)
-        return start + pos
+    def next_node(self, node: int, action: int) -> int:
+        """The one step of a tree walk, by the opponent's `action`: the child
+        n·node + action above depth; at depth the window of the last k actions
+        moves on by one, to total − n^k + (child − total) mod n^k."""
+        if not 0 < action <= self.n_actions:
+            raise ValueError(f"action {action} out of range 1..{self.n_actions}")
+        child = self.n_actions * node + action
+        if child < self._total:
+            return child
+        return self._total - self._leaves + (child - self._total) % self._leaves
 
     def node_probs(self, index: int) -> np.ndarray:
         return self._probs[index]
@@ -159,7 +157,10 @@ class Pdt:
     def action_distribution(self, opponent_history) -> np.ndarray:
         """Distribution over own next action given the opponent's action
         history, a list or tuple (only its last depth entries matter)."""
-        return self._probs[self.node_index(opponent_history[-self.depth:])]
+        node = 0
+        for a in opponent_history[-self.depth:]:
+            node = self.next_node(node, a)
+        return self._probs[node]
 
     def sample_action(self, opponent_history, rng: np.random.Generator) -> int:
         """Inverse-CDF draw in ascending action-index order."""

@@ -101,19 +101,18 @@ def act(policy: ProbePolicy, state: int, mode: str, rng: np.random.Generator) ->
 
 class PolicyAgent:
     """Agent handle driving interactions from a probe policy.  The state is
-    derived from this agent's own past actions, so one instance serves one
-    session."""
+    `node`: the legitimate tree's node reached by this agent's own past
+    actions, one Pdt.next_node step each, so one instance serves one session."""
 
     def __init__(self, policy: ProbePolicy, legit: Pdt, mode: str = MODE_EPS_GREEDY):
         self.policy = policy
         self.legit = legit
         self.mode = mode
-        self.own_actions: list[int] = []
+        self.node = 0
 
     def next_action(self, opponent_history, rng: np.random.Generator) -> int:
-        state = self.legit.node_index(self.own_actions[-self.legit.depth:])
-        a = act(self.policy, state, self.mode, rng)
-        self.own_actions.append(a)
+        a = act(self.policy, self.node, self.mode, rng)
+        self.node = self.legit.next_node(self.node, a)
         return a
 
 
@@ -142,7 +141,8 @@ class ProbeEnvConfig:
 
 class ProbeEnv:
     """One episode = one authentication session against a freshly sampled
-    adversarial client; reward per step is 1 - p (normal approximation)."""
+    adversarial client; reward per step is 1 - p (normal approximation).  The
+    state is the node of the episode's RunningPValue, walked by server actions."""
 
     def __init__(self, cfg: ProbeEnvConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -150,7 +150,6 @@ class ProbeEnv:
         self._client = None
         self._running = None
         self._server_hist: list[int] = []
-        self._t = 0
         self._done = True
 
     def reset(self) -> int:
@@ -159,9 +158,8 @@ class ProbeEnv:
         ]
         self._running = RunningPValue(self.cfg.legit)
         self._server_hist = []
-        self._t = 0
         self._done = False
-        return 0  # root node: no server actions taken yet
+        return self._running.node
 
     def step(self, server_action: int):
         if self._done:
@@ -170,11 +168,8 @@ class ProbeEnv:
         self._running.update(server_action, a_c)
         reward = 1.0 - self._running.p
         self._server_hist.append(server_action)
-        self._t += 1
-        window = self._server_hist[-self.cfg.legit.depth:]
-        state = self.cfg.legit.node_index(window)
-        self._done = self._t >= self.cfg.episode_length
-        return state, reward, self._done
+        self._done = self._running.steps >= self.cfg.episode_length
+        return self._running.node, reward, self._done
 
 
 @dataclass

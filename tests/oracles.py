@@ -20,6 +20,23 @@ from agentauth.hypo import (
 from agentauth.models import PdtAgent
 
 
+def node_index(n_actions: int, depth: int, context) -> int:
+    """Reference walk: breadth-first index of the node of an n-ary tree of the
+    given depth reached by descending one level per context entry (oldest
+    opponent action first); the empty context is the root.  A context longer
+    than the depth has no node."""
+    if len(context) > depth:
+        raise ValueError(f"context length {len(context)} exceeds tree depth {depth}")
+    start, width, pos = 0, 1, 0
+    for a in context:
+        if not 1 <= a <= n_actions:
+            raise ValueError(f"action {a} out of range 1..{n_actions}")
+        start += width
+        width *= n_actions
+        pos = pos * n_actions + (a - 1)
+    return start + pos
+
+
 def step_score(observed: int, q) -> float:
     """Score of one observed action under one conditional distribution q."""
     q = np.asarray(q, dtype=np.float64)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from agentauth import adv, net
-from agentauth.cli import EXPERIMENT_DEFAULTS, LENGTH_SWEEP_GRID, fit_mle_client, main
+from agentauth.cli import EXPERIMENT_DEFAULTS, LENGTH_SWEEP_GRID, METRICS, fit_mle_client, main
 from agentauth.engine import derive_key, run_interaction, save_transcript
 from agentauth.models import PdtAgent, generate_random_pdt, load_pdt, node_count, save_pdt
 
@@ -227,6 +227,64 @@ class TestExperimentInputErrors:
         assert_refused(
             ["length-sweep", "--config", str(config), "--out", str(tmp_path / "s.csv")],
             capsys, "agentauth length-sweep:", str(config), needle,
+        )
+
+    @pytest.fixture()
+    def models(self, tmp_path, capsys):
+        """A models directory at n=3, k=2, neither the hypo nor the probe default."""
+        models = tmp_path / "models"
+        assert main(["gen-models", "--n", "3", "--k", "2", "--out", str(models)]) == 0
+        capsys.readouterr()
+        return models
+
+    def test_models_set_n_and_k(self, tmp_path, models):
+        out = tmp_path / "a.csv"
+        assert main(["eval-auth", "--models", str(models), "--trials", "2", "--out", str(out)]) == 0
+        assert len(read_rows(out)) == len(METRICS)
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("eval-auth", []),
+            ("length-sweep", []),
+            ("train-probe", ["--steps", "10"]),
+            ("eval-probe", ["--policy", "unused.json"]),
+        ],
+    )
+    @pytest.mark.parametrize("flag, value", [("--n", "4"), ("--k", "5")])
+    def test_dimension_disagreeing_with_models(
+        self, tmp_path, capsys, models, command, extra, flag, value
+    ):
+        assert_refused(
+            [command, "--out", str(tmp_path / "out"), "--models", str(models), flag, value, *extra],
+            capsys, f"agentauth {command}:", f"{flag} {value}", str(models),
+        )
+
+
+class TestAddressErrors:
+    """A malformed --connect or --listen is one stderr line and exit 1."""
+
+    @pytest.fixture()
+    def model(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_pdt(generate_random_pdt(3, 2, 0.3, np.random.default_rng(12)), path)
+        return path
+
+    @pytest.mark.parametrize("addr", ["foo", "127.0.0.1:70000", "127.0.0.1:-1", "localhost:"])
+    def test_client_connect(self, capsys, model, addr):
+        assert_refused(
+            ["client", "--connect", addr, "--user", "alice", "--model", str(model)],
+            capsys, "agentauth client:", repr(addr),
+        )
+
+    @pytest.mark.parametrize("addr", ["foo", "127.0.0.1:65536"])
+    def test_serve_listen(self, tmp_path, capsys, model, addr):
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        save_pdt(load_pdt(model), registry / "alice.json")
+        assert_refused(
+            ["serve", "--listen", addr, "--registry", str(registry), "--server-model", str(model)],
+            capsys, "agentauth serve:", repr(addr),
         )
 
 

@@ -114,6 +114,17 @@ class TestRunInteraction:
                 client_hist.append(a_c)
         assert np.mean(c_ent) < np.mean(s_ent)
 
+    def test_reused_agent_matches_fresh_agents(self):
+        # PdtAgent keeps no walk state: one instance, reused across sessions
+        # and on both sides of a session, plays as fresh agents do.
+        model = generate_random_pdt(3, 2, 0.5, np.random.default_rng(8))
+        shared = PdtAgent(model)
+        reused, fresh = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(3):
+            got = run_interaction(shared, shared, 20, reused, reused)
+            want = run_interaction(PdtAgent(model), PdtAgent(model), 20, fresh, fresh)
+            assert got.steps == want.steps
+
 
 class TestExchange:
     def test_client_role_returns_server_client_order(self):

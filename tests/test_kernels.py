@@ -24,7 +24,6 @@ from agentauth.hypo import (
 )
 from agentauth.hypo import test_statistic as statistic
 from agentauth.models import (
-    Pdt,
     PdtAgent,
     fit_mle_pdt,
     generate_random_pdt,
@@ -37,6 +36,7 @@ from oracles import (
     convolved_exactly,
     enumerated_p,
     incremental_p,
+    node_index,
     support_size,
 )
 
@@ -93,12 +93,11 @@ def loop_p_curve(server_agent, client_agent, legit, steps, rng):
 
 def loop_fit_mle(n_actions, depth, transcripts, role):
     counts = np.zeros((node_count(n_actions, depth), n_actions))
-    scratch = Pdt(n_actions, depth, 1.0, np.zeros((node_count(n_actions, depth), n_actions)))
     for steps in (getattr(t, "steps", t) for t in transcripts):
         window = []
         for a_s, a_c in steps:
             own, opp = (a_c, a_s) if role == "client" else (a_s, a_c)
-            counts[scratch.node_index(window), own - 1] += 1
+            counts[node_index(n_actions, depth, window), own - 1] += 1
             window.append(opp)
             if len(window) > depth:
                 window.pop(0)
@@ -113,10 +112,9 @@ class TestNodePath:
     @pytest.mark.parametrize("n", [2, 3, 10])
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_matches_node_index_of_window(self, n, k):
-        pdt = Pdt(n, k, 1.0, np.zeros((node_count(n, k), n)))
         actions = list(np.random.default_rng(n * 10 + k).integers(1, n + 1, size=201))
         for steps in (0, 1, k, k + 1, 201):
-            expected = [pdt.node_index(actions[max(0, t - k):t]) for t in range(steps)]
+            expected = [node_index(n, k, actions[max(0, t - k):t]) for t in range(steps)]
             got = node_path(actions, n, k, steps)
             assert got.shape == (steps,)
             assert got.tolist() == expected

@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from agentauth.models import (
     node_count,
     save_pdt,
 )
+from oracles import node_index
 
 
 def bfs_paths(n, depth):
@@ -65,34 +67,50 @@ class TestBoltzmann:
             boltzmann([0.1, float("inf")], 1.0)
 
 
+def walk(pdt, context):
+    """Fold Pdt.next_node from the root over a context."""
+    return reduce(pdt.next_node, context, 0)
+
+
 class TestTraverse:
     def test_empty_context_is_root(self):
         pdt = generate_random_pdt(3, 3, 1.0, np.random.default_rng(0))
-        assert pdt.node_index([]) == 0
+        assert walk(pdt, []) == 0
 
     def test_walkthrough_depth3(self):
         # n=3, k=3: provided actions [2,3,2], consumed oldest first
         pdt = generate_random_pdt(3, 3, 1.0, np.random.default_rng(0))
-        assert pdt.node_index([2, 3, 2]) == bfs_paths(3, 3).index((2, 3, 2))
+        assert walk(pdt, [2, 3, 2]) == bfs_paths(3, 3).index((2, 3, 2))
 
     def test_partial_context_index(self):
         pdt = generate_random_pdt(3, 5, 1.0, np.random.default_rng(0))
-        assert pdt.node_index([1, 2]) == 5
+        assert walk(pdt, [1, 2]) == 5
 
     @pytest.mark.parametrize("n,depth", [(2, 3), (3, 4), (4, 2)])
     def test_all_contexts_match_bfs_oracle(self, n, depth):
         pdt = generate_random_pdt(n, depth, 1.0, np.random.default_rng(1))
         for idx, path in enumerate(bfs_paths(n, depth)):
-            assert pdt.node_index(list(path)) == idx
+            assert walk(pdt, path) == node_index(n, depth, path) == idx
 
-    def test_context_too_long(self):
+    @pytest.mark.parametrize("n,depth", [(2, 3), (3, 4), (4, 2), (10, 5)])
+    def test_past_depth_is_node_of_last_k_actions(self, n, depth):
+        pdt = Pdt(n, depth, 1.0, np.zeros((node_count(n, depth), n)))
+        history = list(np.random.default_rng(n + depth).integers(1, n + 1, size=60))
+        node = 0
+        for t, a in enumerate(history, start=1):
+            node = pdt.next_node(node, a)
+            assert node == node_index(n, depth, history[max(0, t - depth):t])
+
+    @pytest.mark.parametrize("bad", [0, 4])
+    def test_rejects_out_of_range_action(self, bad):
         pdt = generate_random_pdt(3, 2, 1.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            pdt.node_index([1, 1, 1])
+        for node in (0, 1, pdt.num_nodes - 1):
+            with pytest.raises(ValueError, match="out of range"):
+                pdt.next_node(node, bad)
 
     def test_pure_function(self):
         pdt = generate_random_pdt(3, 4, 1.0, np.random.default_rng(2))
-        assert pdt.node_index([3, 1, 2]) == pdt.node_index([3, 1, 2])
+        assert walk(pdt, [3, 1, 2]) == walk(pdt, [3, 1, 2])
 
 
 class TestActionDistribution:

@@ -18,6 +18,7 @@ from agentauth.rl import (
     steps_to_threshold,
     train_probe,
 )
+from oracles import node_index
 
 
 def probing_legit():
@@ -79,7 +80,7 @@ class TestEnv:
             a = int(rng.integers(1, 4))
             state, _, done = env.step(a)
             taken.append(a)
-            assert state == cfg.legit.node_index(taken[-5:])
+            assert state == node_index(3, 5, taken[-5:])
 
     def test_reward_zero_when_p_is_one(self):
         # deterministic legit model: z always equals the null mean, p = 1
@@ -266,7 +267,9 @@ class TestEvaluation:
         legit = generate_random_pdt(3, 5, 0.5, rng)
         policy = ProbePolicy.zeros(legit.num_nodes, 3)
         agent = PolicyAgent(policy, legit, MODE_EPS_GREEDY)
+        taken = []
         for _ in range(8):
-            agent.next_action((), rng)
-        assert len(agent.own_actions) == 8
-        assert all(1 <= a <= 3 for a in agent.own_actions)
+            assert agent.node == node_index(3, 5, taken[-5:])
+            taken.append(agent.next_action((), rng))
+        assert all(1 <= a <= 3 for a in taken)
+        assert agent.node == node_index(3, 5, taken[-5:])
