@@ -150,6 +150,12 @@ def accuracy_loop(args, key: str, label: str, grid=None, classifier=None) -> int
 
     tests = {"hypo": hypo_test}
     if classifier is not None:
+        width = 2 * (cfg["l"] + 1) * legit.n_actions
+        if classifier.sizes[0] != width:
+            raise _Failed(
+                f"{args.classifier}: classifier takes {classifier.sizes[0]} inputs, "
+                f"but a transcript at n={legit.n_actions}, l={cfg['l']} encodes to {width}"
+            )
         tests["clf"] = lambda history: clf.classifier_test(classifier, history)
     rows = []
     for l in grid or [cfg["l"]]:
@@ -271,9 +277,10 @@ def cmd_serve(args) -> int:
     if not registry:
         raise _Failed(f"no model files in registry directory {args.registry}")
     host, port = _parse_addr(args.listen)
-    server = net.AmiServer(
-        (host, port), registry, lambda: PdtAgent(server_model), config
-    )
+    try:
+        server = net.AmiServer((host, port), registry, lambda: PdtAgent(server_model), config)
+    except OSError as exc:
+        raise _Failed(f"cannot listen on {host}:{port}: {type(exc).__name__}: {exc}") from None
     print(f"listening on {host}:{server.server_address[1]}")
     try:
         server.serve_forever()

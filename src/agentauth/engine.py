@@ -149,8 +149,8 @@ def run_pdt_sessions(server: Pdt, clients: Sequence[Pdt], u: np.ndarray) -> np.n
         np.add(start, code, out=node)
         table.take(node, axis=0, out=probs)
         np.add.accumulate(probs, axis=2, out=cdf)  # np.cumsum without its wrapper
-        # How many of the first n-1 CDF values are <= u: searchsorted(u,
-        # "right") clipped at n-1, as in Pdt.sample_action.
+        # Count of the first n-1 CDF values <= u: sums never decrease, so it is
+        # the index of Pdt.sample_action's first running sum > u, else n-1.
         np.less_equal(cdf[..., :-1], uniforms[t], out=below)
         np.add.reduce(below, axis=2, out=actions[t])
         code *= n

@@ -156,18 +156,26 @@ class Pdt:
 
     def action_distribution(self, opponent_history) -> np.ndarray:
         """Distribution over own next action given the opponent's action
-        history, a list or tuple (only its last depth entries matter)."""
-        node = 0
+        history: its last depth entries folded by next_node's child rule."""
+        n, node = self.n_actions, 0
         for a in opponent_history[-self.depth:]:
-            node = self.next_node(node, a)
+            if not 0 < a <= n:
+                raise ValueError(f"action {a} out of range 1..{n}")
+            node = n * node + a
         return self._probs[node]
 
     def sample_action(self, opponent_history, rng: np.random.Generator) -> int:
-        """Inverse-CDF draw in ascending action-index order."""
-        p = self.action_distribution(opponent_history)
+        """Inverse-CDF draw of one u = rng.random(): the first action whose
+        running sum of probabilities exceeds u, else n.  Python floats added
+        left to right: np.cumsum(p).searchsorted(u, "right") bit for bit."""
+        row = self.action_distribution(opponent_history).tolist()
         u = rng.random()
-        idx = int(p.cumsum().searchsorted(u, side="right"))
-        return min(idx, self.n_actions - 1) + 1
+        total = 0.0
+        for a, p in enumerate(row[:-1], 1):
+            total += p
+            if total > u:
+                return a
+        return self.n_actions
 
 
 class PdtAgent:

@@ -13,7 +13,10 @@ recordings stay detectable.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,7 +89,9 @@ class ProbePolicy:
 
 def act(policy: ProbePolicy, state: int, mode: str, rng: np.random.Generator) -> int:
     """Greedy breaks ties toward the lowest action index; eps_greedy mixes in
-    a uniform action with probability epsilon; softmax samples the policy."""
+    a uniform action with probability epsilon; softmax makes rng.choice(n,
+    p=p)'s draw in Python floats: one rng.random() bisected from the right
+    into the running sums of p over their last.  NaN raises ValueError."""
     if mode == MODE_GREEDY:
         return int(np.argmax(policy.preferences[state])) + 1
     if mode == MODE_EPS_GREEDY:
@@ -94,8 +99,10 @@ def act(policy: ProbePolicy, state: int, mode: str, rng: np.random.Generator) ->
             return int(rng.integers(1, policy.n_actions + 1))
         return int(np.argmax(policy.preferences[state])) + 1
     if mode == MODE_SOFTMAX:
-        p = policy.distribution(state)
-        return int(rng.choice(policy.n_actions, p=p)) + 1
+        cdf = list(accumulate(policy.distribution(state).tolist()))
+        if not math.isfinite(cdf[-1]):
+            raise ValueError(f"preferences of state {state} give no distribution")
+        return bisect_right([c / cdf[-1] for c in cdf], rng.random()) + 1
     raise ValueError(f"unknown mode {mode!r}")
 
 

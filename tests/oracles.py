@@ -37,6 +37,36 @@ def node_index(n_actions: int, depth: int, context) -> int:
     return start + pos
 
 
+def sample_action(p, u: float) -> int:
+    """Reference inverse-CDF draw of Pdt.sample_action: the count of the
+    first n-1 cumulative sums that are <= u, plus one."""
+    idx = int(np.cumsum(p).searchsorted(u, side="right"))
+    return min(idx, len(p) - 1) + 1
+
+
+def softmax_act(policy, state: int, rng) -> int:
+    """Reference softmax draw of rl.act: numpy's own weighted choice."""
+    return int(rng.choice(policy.n_actions, p=policy.distribution(state))) + 1
+
+
+def choice_draw(p, u: float) -> int:
+    """The index Generator.choice(len(p), p=p) draws from its one uniform u:
+    cumulative sums over the last one, searched from the right."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
 def step_score(observed: int, q) -> float:
     """Score of one observed action under one conditional distribution q."""
     q = np.asarray(q, dtype=np.float64)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from agentauth import adv, net
+from agentauth import adv, clf, net
 from agentauth.cli import EXPERIMENT_DEFAULTS, LENGTH_SWEEP_GRID, METRICS, fit_mle_client, main
 from agentauth.engine import derive_key, run_interaction, save_transcript
 from agentauth.models import PdtAgent, generate_random_pdt, load_pdt, node_count, save_pdt
@@ -219,6 +219,27 @@ class TestExperimentInputErrors:
             capsys, "agentauth eval-auth:", str(classifier), needle,
         )
 
+    def test_classifier_of_other_width_refused_before_any_session(self, tmp_path, capsys):
+        # SMALL encodes a transcript to 2·(5+1)·3 = 36 inputs; this checkpoint
+        # was sized for l=20.
+        classifier = tmp_path / "clf.json"
+        clf.save_classifier(clf.Mlp(2 * 21 * 3, 4), classifier)
+        out = tmp_path / "a.csv"
+        assert_refused(
+            ["eval-auth", "--classifier", str(classifier), "--out", str(out), *self.SMALL],
+            capsys, "agentauth eval-auth:", str(classifier), "126 inputs", "encodes to 36",
+        )
+        assert not out.exists()
+
+    def test_classifier_of_matching_width_runs(self, tmp_path):
+        classifier = tmp_path / "clf.json"
+        clf.save_classifier(clf.Mlp(36, 4), classifier)
+        out = tmp_path / "a.csv"
+        argv = ["eval-auth", "--classifier", str(classifier), "--out", str(out), *self.SMALL]
+        assert main(argv) == 0
+        tests = sorted(row["test"] for row in read_rows(out))
+        assert tests == ["clf"] * len(METRICS) + ["hypo"] * len(METRICS)
+
     @pytest.mark.parametrize("text, needle", [(None, "FileNotFoundError"), ("[1, 2]", "TypeError")])
     def test_bad_config(self, tmp_path, capsys, text, needle):
         config = tmp_path / "config.json"
@@ -286,6 +307,19 @@ class TestAddressErrors:
             ["serve", "--listen", addr, "--registry", str(registry), "--server-model", str(model)],
             capsys, "agentauth serve:", repr(addr),
         )
+
+    def test_serve_port_in_use(self, tmp_path, capsys, model):
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        save_pdt(load_pdt(model), registry / "alice.json")
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            addr = f"127.0.0.1:{holder.getsockname()[1]}"
+            assert_refused(
+                ["serve", "--listen", addr, "--registry", str(registry), "--server-model", str(model)],
+                capsys, "agentauth serve:", addr, "OSError",
+            )
 
 
 class TestClientFailures:

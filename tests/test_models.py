@@ -18,7 +18,7 @@ from agentauth.models import (
     node_count,
     save_pdt,
 )
-from oracles import node_index
+from oracles import FixedUniforms, node_index, sample_action
 
 
 def bfs_paths(n, depth):
@@ -145,6 +145,12 @@ class TestActionDistribution:
         # branch 2 from the root is breadth-first node 2
         assert np.array_equal(pdt.action_distribution([2]), boltzmann(nodes[2], 0.5))
 
+    @pytest.mark.parametrize("bad", [0, 4, -1])
+    def test_rejects_out_of_range_action(self, bad):
+        pdt = generate_random_pdt(3, 2, 0.5, np.random.default_rng(4))
+        with pytest.raises(ValueError, match=f"action {bad} out of range 1..3"):
+            pdt.action_distribution([1, bad])
+
 
 class TestSampleAction:
     def test_degenerate_distribution(self):
@@ -167,6 +173,48 @@ class TestSampleAction:
         for _ in range(trials):
             counts[pdt.sample_action([3], rng) - 1] += 1
         assert np.all(np.abs(counts / trials - pdt.action_distribution([3])) < 0.01)
+
+    @staticmethod
+    def assert_matches_reference(pdt, contexts):
+        """At every node a context reaches, u = 0, each cumulative sum and
+        one ulp either side of it draw the reference's action."""
+        for context in contexts:
+            row = pdt.action_distribution(context)
+            sums = np.cumsum(row)
+            us = {0.0} | {float(u) for c in sums for u in (np.nextafter(c, -1), c, np.nextafter(c, 2))}
+            for u in sorted(u for u in us if 0.0 <= u < 1.0):
+                assert pdt.sample_action(context, FixedUniforms([u])) == sample_action(row, u)
+
+    def test_logit_tree_matches_reference_at_every_boundary(self):
+        pdt = generate_random_pdt(4, 2, 0.3, np.random.default_rng(12))
+        self.assert_matches_reference(pdt, bfs_paths(4, 2))
+
+    def test_mle_tree_with_zeros_and_ties_matches_reference(self):
+        rng = np.random.default_rng(13)
+        legit = generate_random_pdt(3, 2, 0.2, rng)
+        sessions = [run_interaction(PdtAgent(legit), PdtAgent(legit), 8, rng, rng) for _ in range(4)]
+        pdt = fit_mle_pdt(3, 2, sessions)
+        rows = pdt._probs
+        assert np.any(rows == 0.0) and np.any(rows[:, :-1] == rows[:, 1:])
+        self.assert_matches_reference(pdt, bfs_paths(3, 2))
+
+    def test_sums_ending_below_one_give_the_last_action(self):
+        # A literal row may sum to 1 - 1e-10; a u past its last sum is action n.
+        nodes = np.array([[0.2, 0.3, 0.5 - 1e-10]] * node_count(3, 1))
+        pdt = Pdt(3, 1, 1.0, nodes, node_kind="literal")
+        last = float(np.cumsum(nodes[0])[-1])
+        assert last < 1.0
+        for u in (np.nextafter(last, 2), (last + 1.0) / 2, np.nextafter(1.0, 0)):
+            assert pdt.sample_action([2], FixedUniforms([float(u)])) == 3 == sample_action(nodes[0], u)
+        self.assert_matches_reference(pdt, [[], [1]])
+
+    def test_draws_one_uniform_per_action(self):
+        pdt = generate_random_pdt(5, 3, 0.3, np.random.default_rng(14))
+        a, b = np.random.default_rng(15), np.random.default_rng(15)
+        contexts = [list(c) for c in np.random.default_rng(16).integers(1, 6, size=(500, 3))]
+        got = [pdt.sample_action(c, a) for c in contexts]
+        assert got == [sample_action(pdt.action_distribution(c), b.random()) for c in contexts]
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestGenerateRandomPdt:

@@ -18,7 +18,7 @@ from agentauth.rl import (
     steps_to_threshold,
     train_probe,
 )
-from oracles import node_index
+from oracles import FixedUniforms, choice_draw, node_index, softmax_act
 
 
 def probing_legit():
@@ -148,6 +148,40 @@ class TestAct:
         for _ in range(10_000):
             counts[act(policy, 4, MODE_SOFTMAX, rng) - 1] += 1
         assert np.all(np.abs(counts / 10_000 - policy.distribution(4)) < 0.02)
+
+    def test_softmax_draws_equal_rng_choice(self):
+        policy = ProbePolicy.zeros(20, 4)
+        policy.preferences[:] = np.random.default_rng(16).normal(0.0, 3.0, (20, 4))
+        policy.preferences[7] = [-800.0, 0.0, 0.0, -800.0]  # exact zeros in p
+        a, b = np.random.default_rng(17), np.random.default_rng(17)
+        got = [act(policy, i % 20, MODE_SOFTMAX, a) for i in range(10_000)]
+        assert got == [softmax_act(policy, i % 20, b) for i in range(10_000)]
+        assert a.bit_generator.state == b.bit_generator.state
+        c = np.random.default_rng(17)
+        assert got == [choice_draw(policy.distribution(i % 20), c.random()) + 1 for i in range(10_000)]
+
+    def test_softmax_boundaries_scale_by_the_last_sum(self):
+        # Rows whose sums end an ulp off 1: u at, and one ulp either side of,
+        # each sum and each sum over the last draws choice_draw's action.
+        policy = ProbePolicy.zeros(20, 4)
+        policy.preferences[:] = np.random.default_rng(16).normal(0.0, 3.0, (20, 4))
+        off = [s for s in range(20) if np.cumsum(policy.distribution(s))[-1] != 1.0]
+        assert off
+        for s in off:
+            p = policy.distribution(s)
+            cdf = np.cumsum(p)
+            edges = np.concatenate([cdf, cdf / cdf[-1]])
+            us = {float(u) for e in edges for u in (np.nextafter(e, -1), e, np.nextafter(e, 2))}
+            for u in sorted(u for u in us if 0.0 <= u < 1.0):
+                assert act(policy, s, MODE_SOFTMAX, FixedUniforms([u])) == choice_draw(p, u) + 1
+
+    def test_softmax_nan_preferences_raise(self):
+        policy = self._policy()
+        policy.preferences[4] = np.nan
+        with pytest.raises(ValueError):
+            softmax_act(policy, 4, np.random.default_rng(18))
+        with pytest.raises(ValueError):
+            act(policy, 4, MODE_SOFTMAX, np.random.default_rng(18))
 
 
 class TestTraining:
