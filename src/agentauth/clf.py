@@ -222,11 +222,20 @@ def classifier_test(model: Mlp, history: InteractionHistory) -> AuthVerdict:
     )
 
 
-def save_classifier(model: Mlp, path) -> None:
+def save_classifier(model: Mlp, path, n_actions: int, l: int) -> None:
+    """Write the network with the n and l of the transcripts it reads."""
+    width = 2 * (l + 1) * n_actions
+    if model.sizes[0] != width:
+        raise ValueError(
+            f"model takes {model.sizes[0]} inputs, but n={n_actions}, l={l} encodes to {width}"
+        )
     with open(path, "w") as f:
-        json.dump(model.to_dict(), f)
+        json.dump({**model.to_dict(), "n_actions": n_actions, "l": l}, f)
 
 
-def load_classifier(path) -> Mlp:
+def load_classifier(path) -> tuple[Mlp, int | None, int | None]:
+    """The network and the n and l it was saved with, None where the file
+    does not record them."""
     with open(path) as f:
-        return Mlp.from_dict(json.load(f))
+        doc = json.load(f)
+    return Mlp.from_dict(doc), doc.get("n_actions"), doc.get("l")

@@ -150,13 +150,13 @@ def accuracy_loop(args, key: str, label: str, grid=None, classifier=None) -> int
 
     tests = {"hypo": hypo_test}
     if classifier is not None:
-        width = 2 * (cfg["l"] + 1) * legit.n_actions
-        if classifier.sizes[0] != width:
+        model, n, l = classifier
+        if (n, l) != (legit.n_actions, cfg["l"]):
             raise _Failed(
-                f"{args.classifier}: classifier takes {classifier.sizes[0]} inputs, "
-                f"but a transcript at n={legit.n_actions}, l={cfg['l']} encodes to {width}"
+                f"{args.classifier}: classifier was saved for n={n}, l={l}, "
+                f"but this run has n={legit.n_actions}, l={cfg['l']}"
             )
-        tests["clf"] = lambda history: clf.classifier_test(classifier, history)
+        tests["clf"] = lambda history: clf.classifier_test(model, history)
     rows = []
     for l in grid or [cfg["l"]]:
         for test_name, test_fn in tests.items():
@@ -215,6 +215,12 @@ def cmd_eval_probe(args) -> int:
     cfg = load_config(args.config, "probe", _dim_overrides(args))
     _, legit = _load_or_generate(args, cfg)
     policy = _read(rl.ProbePolicy.load, args.policy)
+    want = (legit.num_nodes, legit.n_actions)
+    if policy.preferences.shape != want:
+        raise _Failed(
+            f"{args.policy}: policy has {policy.preferences.shape} preferences, "
+            f"but n={legit.n_actions}, k={legit.depth} needs {want}"
+        )
     rng = np.random.default_rng(args.seed)
     population = adv.sample_population(
         cfg["n"], cfg["k"], cfg["tau_client"], args.trials, args.seed + 2

@@ -127,7 +127,7 @@ def run_pdt_sessions(server: Pdt, clients: Sequence[Pdt], u: np.ndarray) -> np.n
     # One stacked table: the server's rows, then each distinct client's.
     distinct = list({id(c): c for c in clients}.values())
     slot = {id(c): i for i, c in enumerate(distinct)}
-    table = np.concatenate([server._probs] + [c._probs for c in distinct])
+    table = np.concatenate([server.probs] + [c.probs for c in distinct])
     client_base = server.num_nodes + distinct[0].num_nodes * np.array([slot[id(c)] for c in clients])
     base = np.stack([np.zeros(batch, np.int64), client_base])
     # Row 0 is the server side, row 1 the client side.  Each walks by
@@ -171,7 +171,7 @@ def derive_key(history: InteractionHistory, model: Pdt) -> bytes:
     steps = history.length
     nodes = node_path(history.server_actions(), model.n_actions, model.depth, steps)
     client = np.asarray(history.client_actions(), dtype=np.intp)
-    p = model.node_probs(nodes)[np.arange(steps), client - 1]
+    p = model.probs[nodes, client - 1]
     # np.rint rounds half to even, as round() does.
     quantized = np.rint(p * (1 << KEY_QUANT_BITS)).astype(">u8")
     return hashlib.sha256(quantized.tobytes()).digest()

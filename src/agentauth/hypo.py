@@ -63,7 +63,7 @@ def action_scores(q: np.ndarray) -> np.ndarray:
 def step_distributions(server_actions, model: Pdt, steps: int) -> np.ndarray:
     """Model's conditional client-action distribution at each step, given the
     server actions strictly before it.  Shape (steps, n_actions)."""
-    return model.node_probs(node_path(server_actions, model.n_actions, model.depth, steps))
+    return model.probs[node_path(server_actions, model.n_actions, model.depth, steps)]
 
 
 def score_tables(q: np.ndarray) -> np.ndarray:
@@ -297,7 +297,7 @@ class RunningPValue:
         n = self.model.n_actions
         if not (0 < server_action <= n and 0 < client_action <= n):
             raise ValueError(f"step {(server_action, client_action)} has an action outside 1..{n}")
-        q = self.model.node_probs(self.node)
+        q = self.model.probs[self.node]
         scores = action_scores(q)
         self._sum_score += float(scores[client_action - 1])
         m = float((q * scores).sum())

@@ -15,9 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NODE_KIND_LOGIT = "logit"
-NODE_KIND_LITERAL = "literal"
-
 MODEL_FILE_VERSION = 2
 MODEL_FILE_DTYPE = "<f8"
 
@@ -59,10 +56,11 @@ def node_path(opponent_actions, n_actions: int, depth: int, steps: int) -> np.nd
 
 
 def _softmax_rows(logits: np.ndarray, temperature: float) -> np.ndarray:
-    # Fixed evaluation order (max-subtraction, exp, left-to-right sum) so two
-    # independent parties computing from the same logits agree bit for bit.
-    # In place after the first division: at paper size every model load
-    # runs this over 1.1M entries, and each temporary costs milliseconds.
+    # Fixed evaluation order (max-subtraction, exp, left-to-right sum).  The
+    # exp's last bits still depend on numpy's SIMD path, so two CPUs can get
+    # different tables from the same logits; model files therefore store the
+    # result.  In place after the first division: at paper size this runs
+    # over 1.1M entries, and each temporary costs milliseconds.
     e = logits / temperature
     e -= e.max(axis=1, keepdims=True)
     np.exp(e, out=e)
@@ -86,19 +84,14 @@ def boltzmann(logits, temperature: float) -> np.ndarray:
 class Pdt:
     """Immutable probabilistic decision tree.
 
-    nodes holds one row per tree node in breadth-first order.  With
-    node_kind "logit" each row is a logit vector pushed through a Boltzmann
-    distribution at the tree's temperature; with "literal" each row already
-    is a probability vector (used by empirical-frequency fits, which must be
-    able to represent exact zeros).
+    probs holds one probability row per tree node in breadth-first order:
+    every entry >= 0 and every row summing to 1 within 1e-9.  Fits of
+    empirical frequencies hold exact zeros.
     """
 
     n_actions: int
     depth: int
-    temperature: float
-    nodes: np.ndarray
-    node_kind: str = NODE_KIND_LOGIT
-    _probs: np.ndarray = field(init=False, repr=False, compare=False)
+    probs: np.ndarray
     _total: int = field(init=False, repr=False, compare=False)
     _leaves: int = field(init=False, repr=False, compare=False)
 
@@ -107,38 +100,23 @@ class Pdt:
             raise ValueError("n_actions must be >= 2")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
-        if self.node_kind not in (NODE_KIND_LOGIT, NODE_KIND_LITERAL):
-            raise ValueError(f"unknown node_kind {self.node_kind!r}")
-        nodes = np.array(self.nodes, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)
         expected = node_count(self.n_actions, self.depth)
-        if nodes.shape != (expected, self.n_actions):
+        if probs.shape != (expected, self.n_actions):
             raise ValueError(
-                f"nodes must have shape ({expected}, {self.n_actions}), "
-                f"got {nodes.shape}"
+                f"probs must have shape ({expected}, {self.n_actions}), got {probs.shape}"
             )
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("node parameters must be finite")
-        if self.node_kind == NODE_KIND_LITERAL:
-            if np.any(nodes < 0):
-                raise ValueError("literal node probabilities must be >= 0")
-            sums = nodes.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-9):
-                raise ValueError("literal node probabilities must sum to 1")
-            probs = nodes.copy()
-        else:
-            probs = _softmax_rows(nodes, self.temperature)
-        nodes.flags.writeable = False
+        # One test for all: NaN fails both comparisons, and inf either one.
+        if not (probs.min() >= 0 and np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9):
+            raise ValueError("node probabilities must be >= 0 and sum to 1")
         probs.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_probs", probs)
+        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_total", expected)
         object.__setattr__(self, "_leaves", self.n_actions**self.depth)
 
     @property
     def num_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return self.probs.shape[0]
 
     def next_node(self, node: int, action: int) -> int:
         """The one step of a tree walk, by the opponent's `action`: the child
@@ -151,9 +129,6 @@ class Pdt:
             return child
         return self._total - self._leaves + (child - self._total) % self._leaves
 
-    def node_probs(self, index: int) -> np.ndarray:
-        return self._probs[index]
-
     def action_distribution(self, opponent_history) -> np.ndarray:
         """Distribution over own next action given the opponent's action
         history: its last depth entries folded by next_node's child rule."""
@@ -162,7 +137,7 @@ class Pdt:
             if not 0 < a <= n:
                 raise ValueError(f"action {a} out of range 1..{n}")
             node = n * node + a
-        return self._probs[node]
+        return self.probs[node]
 
     def sample_action(self, opponent_history, rng: np.random.Generator) -> int:
         """Inverse-CDF draw of one u = rng.random(): the first action whose
@@ -192,13 +167,14 @@ class PdtAgent:
 def generate_random_pdt(
     n_actions: int, depth: int, temperature: float, rng: np.random.Generator
 ) -> Pdt:
-    """Fresh tree with every logit drawn i.i.d. uniform on [0, 1]."""
+    """Fresh tree whose rows are Boltzmann distributions at `temperature` over
+    logits drawn i.i.d. uniform on [0, 1]."""
     if n_actions < 2 or depth < 1:
         raise ValueError("need n_actions >= 2 and depth >= 1")
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    nodes = rng.random((node_count(n_actions, depth), n_actions))
-    return Pdt(n_actions=n_actions, depth=depth, temperature=temperature, nodes=nodes)
+    logits = rng.random((node_count(n_actions, depth), n_actions))
+    return Pdt(n_actions, depth, _softmax_rows(logits, temperature))
 
 
 def fit_mle_pdt(n_actions: int, depth: int, transcripts, role: str = "client") -> Pdt:
@@ -223,27 +199,23 @@ def fit_mle_pdt(n_actions: int, depth: int, transcripts, role: str = "client") -
         np.add.at(counts, (node_path(opp, n_actions, depth, len(pairs)), own - 1), 1)
     totals = counts.sum(axis=1, keepdims=True)
     probs = np.where(totals > 0, counts / np.where(totals > 0, totals, 1), 1.0 / n_actions)
-    return Pdt(
-        n_actions=n_actions,
-        depth=depth,
-        temperature=1.0,
-        nodes=probs,
-        node_kind=NODE_KIND_LITERAL,
-    )
+    return Pdt(n_actions, depth, probs)
 
 
 def save_pdt(pdt: Pdt, path) -> None:
-    """Write a version-2 model file: one JSON header line, then the node
-    table as raw little-endian float64 in breadth-first row order.  The
-    header carries the SHA-256 of that body and no timestamp, so the same
-    model always gives the same bytes."""
-    body = np.ascontiguousarray(pdt.nodes, dtype=MODEL_FILE_DTYPE).tobytes()
+    """Write a version-2 model file: one JSON header line, then the
+    probability table as raw little-endian float64 in breadth-first row
+    order.  The header carries the SHA-256 of that body and no timestamp, so
+    the same model always gives the same bytes.  node_kind "literal" and
+    temperature 1.0 are fixed; they keep the file readable by releases that
+    also stored logits."""
+    body = np.ascontiguousarray(pdt.probs, dtype=MODEL_FILE_DTYPE).tobytes()
     header = {
         "version": MODEL_FILE_VERSION,
         "n_actions": pdt.n_actions,
         "depth": pdt.depth,
-        "temperature": pdt.temperature,
-        "node_kind": pdt.node_kind,
+        "temperature": 1.0,
+        "node_kind": "literal",
         "dtype": MODEL_FILE_DTYPE,
         "sha256": hashlib.sha256(body).hexdigest(),
     }
@@ -252,15 +224,14 @@ def save_pdt(pdt: Pdt, path) -> None:
         f.write(body)
 
 
-_REQUIRED_FIELDS = {
-    1: ("n_actions", "depth", "temperature", "node_kind", "nodes"),
-    2: ("n_actions", "depth", "temperature", "node_kind", "dtype", "sha256"),
-}
+_REQUIRED_FIELDS = ("n_actions", "depth", "temperature", "node_kind", "dtype", "sha256")
 
 
 def load_pdt(path) -> Pdt:
-    """Read a model file.  Version 2 is what save_pdt writes; version 1 (the
-    whole model as one line of JSON) still loads."""
+    """Read a version-2 model file.  A "literal" body is the probability
+    table, used as stored, so every CPU loads the same bits.  A "logit" body,
+    as earlier releases wrote, goes through one softmax at the header's
+    temperature, whose last bits can differ between CPUs."""
     with open(path, "rb") as f:
         try:
             doc = json.loads(f.readline())
@@ -269,26 +240,21 @@ def load_pdt(path) -> Pdt:
         body = f.read()
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level value must be an object")
-    version = doc.get("version")
-    if version not in _REQUIRED_FIELDS:
-        raise UnsupportedVersionError(f"unsupported model file version: {version!r}")
-    for key in _REQUIRED_FIELDS[version]:
+    if doc.get("version") != MODEL_FILE_VERSION:
+        raise UnsupportedVersionError(f"unsupported model file version: {doc.get('version')!r}")
+    for key in _REQUIRED_FIELDS:
         if key not in doc:
             raise ModelFormatError(f"missing field {key!r}")
-    if version == 1:
-        if body.strip():
-            raise ModelFormatError("unexpected data after the version-1 JSON line")
-        nodes = doc["nodes"]
-    else:
-        nodes = _v2_nodes(doc, body)
+    table = _v2_nodes(doc, body)
     try:
-        return Pdt(
-            n_actions=int(doc["n_actions"]),
-            depth=int(doc["depth"]),
-            temperature=float(doc["temperature"]),
-            nodes=np.asarray(nodes, dtype=np.float64),
-            node_kind=doc["node_kind"],
-        )
+        if doc["node_kind"] == "logit":
+            temperature = float(doc["temperature"])
+            if not temperature > 0:
+                raise ValueError("temperature must be positive")
+            table = _softmax_rows(table, temperature)
+        elif doc["node_kind"] != "literal":
+            raise ValueError(f"unknown node_kind {doc['node_kind']!r}")
+        return Pdt(doc["n_actions"], doc["depth"], table)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid model file: {exc}") from exc
 

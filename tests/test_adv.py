@@ -48,22 +48,24 @@ class TestRandomAdversary:
     def test_same_shape_different_logits(self):
         rng = np.random.default_rng(2)
         legit = generate_random_pdt(10, 5, 0.1, rng)
+        state = rng.bit_generator.state
         adv = make_random_adversary(10, 5, 0.1, rng)
-        assert adv.pdt.nodes.shape == legit.nodes.shape
-        assert adv.pdt.temperature == legit.temperature
-        assert not np.array_equal(adv.pdt.nodes, legit.nodes)
+        rng.bit_generator.state = state
+        # a fresh tree of the legitimate shape and temperature
+        assert adv.pdt.probs.tobytes() == generate_random_pdt(10, 5, 0.1, rng).probs.tobytes()
+        assert not np.array_equal(adv.pdt.probs, legit.probs)
 
     def test_distinct_seeds_differ(self):
         a = make_random_adversary(3, 2, 0.5, np.random.default_rng(3))
         b = make_random_adversary(3, 2, 0.5, np.random.default_rng(4))
-        assert not np.array_equal(a.pdt.nodes, b.pdt.nodes)
+        assert not np.array_equal(a.pdt.probs, b.pdt.probs)
 
     def test_positive_tv_distance_from_legit(self):
         rng = np.random.default_rng(5)
         legit = generate_random_pdt(3, 2, 0.5, rng)
         adv = make_random_adversary(3, 2, 0.5, rng)
         tvs = [
-            0.5 * np.abs(adv.pdt.node_probs(i) - legit.node_probs(i)).sum()
+            0.5 * np.abs(adv.pdt.probs[i] - legit.probs[i]).sum()
             for i in range(legit.num_nodes)
         ]
         assert np.mean(tvs) > 0
@@ -81,7 +83,7 @@ class TestMleAdversary:
         ]
         adv = make_mle_adversary(observed, 2, 1)
         for node in range(legit.num_nodes):
-            tv = 0.5 * np.abs(adv.pdt.node_probs(node) - legit.node_probs(node)).sum()
+            tv = 0.5 * np.abs(adv.pdt.probs[node] - legit.probs[node]).sum()
             assert tv <= 0.05
 
     def test_sparse_observation_mostly_uniform(self):
@@ -96,7 +98,7 @@ class TestMleAdversary:
         adv = make_mle_adversary(observed, 10, 5)
         uniform = np.full(10, 0.1)
         frac_uniform = np.mean(
-            [np.array_equal(adv.pdt.node_probs(i), uniform) for i in range(adv.pdt.num_nodes)]
+            [np.array_equal(adv.pdt.probs[i], uniform) for i in range(adv.pdt.num_nodes)]
         )
         assert frac_uniform > 0.5
 
@@ -111,7 +113,7 @@ class TestPopulation:
         evaluation = sample_population(3, 2, 0.5, 10, seed=10)
         for a in train:
             for b in evaluation:
-                assert not np.array_equal(a.pdt.nodes, b.pdt.nodes)
+                assert not np.array_equal(a.pdt.probs, b.pdt.probs)
 
     def test_pairwise_root_diversity(self):
         pop = sample_population(3, 5, 0.5, 30, seed=11)
@@ -120,7 +122,7 @@ class TestPopulation:
             for j in range(i + 1, len(pop)):
                 tvs.append(
                     0.5
-                    * np.abs(pop[i].pdt.node_probs(0) - pop[j].pdt.node_probs(0)).sum()
+                    * np.abs(pop[i].pdt.probs[0] - pop[j].pdt.probs[0]).sum()
                 )
         assert np.mean(tvs) > 0.05
 

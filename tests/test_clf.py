@@ -88,10 +88,17 @@ class TestMlp:
     def test_checkpoint_round_trip(self, tmp_path):
         model = Mlp(6, 4, seed=6)
         path = tmp_path / "clf.json"
-        save_classifier(model, path)
-        loaded = load_classifier(path)
+        save_classifier(model, path, 3, 0)
+        loaded, n, l = load_classifier(path)
+        assert (n, l) == (3, 0)
         x = np.random.default_rng(7).normal(size=(3, 6))
         assert np.allclose(model.forward(x), loaded.forward(x))
+
+    def test_checkpoint_of_other_width_not_saved(self, tmp_path):
+        path = tmp_path / "clf.json"
+        with pytest.raises(ValueError, match="encodes to 12"):
+            save_classifier(Mlp(6, 4), path, 3, 1)
+        assert not path.exists()
 
 
 class TestTraining:

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from agentauth import adv, clf, net
-from agentauth.cli import EXPERIMENT_DEFAULTS, LENGTH_SWEEP_GRID, METRICS, fit_mle_client, main
+from agentauth.cli import (
+    EXPERIMENT_DEFAULTS,
+    LENGTH_SWEEP_GRID,
+    METRICS,
+    fit_mle_client,
+    generate_models,
+    main,
+)
 from agentauth.engine import derive_key, run_interaction, save_transcript
 from agentauth.models import PdtAgent, generate_random_pdt, load_pdt, node_count, save_pdt
 
@@ -42,7 +49,7 @@ class TestGenModels:
             model = load_pdt(out / name)
             assert model.n_actions == cfg["n"]
             assert model.depth == cfg["k"]
-            assert model.nodes.shape[0] == node_count(cfg["n"], cfg["k"])
+            assert model.num_nodes == node_count(cfg["n"], cfg["k"])
 
     def test_dimension_overrides(self, tmp_path):
         out = tmp_path / "m"
@@ -53,8 +60,9 @@ class TestGenModels:
         server = load_pdt(out / "server.json")
         user = load_pdt(out / "user.json")
         assert server.n_actions == 10 and server.depth == 2
-        assert server.temperature == 1.0
-        assert user.temperature == 0.1
+        want = generate_models({**EXPERIMENT_DEFAULTS["hypo"], "k": 2}, 5)
+        assert server.probs.tobytes() == want[0].probs.tobytes()
+        assert user.probs.tobytes() == want[1].probs.tobytes()
 
     def test_seed_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -220,20 +228,54 @@ class TestExperimentInputErrors:
         )
 
     def test_classifier_of_other_width_refused_before_any_session(self, tmp_path, capsys):
-        # SMALL encodes a transcript to 2·(5+1)·3 = 36 inputs; this checkpoint
-        # was sized for l=20.
+        # SMALL runs at n=3, l=5; this checkpoint was saved for l=20.
         classifier = tmp_path / "clf.json"
-        clf.save_classifier(clf.Mlp(2 * 21 * 3, 4), classifier)
+        clf.save_classifier(clf.Mlp(2 * 21 * 3, 4), classifier, 3, 20)
         out = tmp_path / "a.csv"
         assert_refused(
             ["eval-auth", "--classifier", str(classifier), "--out", str(out), *self.SMALL],
-            capsys, "agentauth eval-auth:", str(classifier), "126 inputs", "encodes to 36",
+            capsys, "agentauth eval-auth:", str(classifier), "n=3, l=20", "n=3, l=5",
+        )
+        assert not out.exists()
+
+    def test_classifier_of_other_n_and_l_refused_at_equal_width(self, tmp_path, capsys):
+        # n=2, l=8 encodes to 2·9·2 = 36 inputs, as SMALL's n=3, l=5 does.
+        classifier = tmp_path / "clf.json"
+        clf.save_classifier(clf.Mlp(36, 4), classifier, 2, 8)
+        out = tmp_path / "a.csv"
+        assert_refused(
+            ["eval-auth", "--classifier", str(classifier), "--out", str(out), *self.SMALL],
+            capsys, "agentauth eval-auth:", str(classifier), "n=2, l=8", "n=3, l=5",
+        )
+        assert not out.exists()
+
+    def test_classifier_without_n_and_l_refused(self, tmp_path, capsys):
+        classifier = tmp_path / "clf.json"
+        classifier.write_text(json.dumps(clf.Mlp(36, 4).to_dict()))
+        assert_refused(
+            ["eval-auth", "--classifier", str(classifier), "--out", str(tmp_path / "a.csv"),
+             *self.SMALL],
+            capsys, "agentauth eval-auth:", str(classifier), "n=None, l=None",
+        )
+
+    def test_policy_of_other_dimensions_refused(self, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        assert main([
+            "train-probe", "--out", str(policy), "--n", "3", "--k", "2", "--l", "5",
+            "--steps", "50", "--population", "2",
+        ]) == 0
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        assert_refused(
+            ["eval-probe", "--policy", str(policy), "--out", str(out),
+             "--n", "3", "--k", "5", "--l", "5", "--trials", "2"],
+            capsys, "agentauth eval-probe:", str(policy), "(13, 3)", "(364, 3)",
         )
         assert not out.exists()
 
     def test_classifier_of_matching_width_runs(self, tmp_path):
         classifier = tmp_path / "clf.json"
-        clf.save_classifier(clf.Mlp(36, 4), classifier)
+        clf.save_classifier(clf.Mlp(36, 4), classifier, 3, 5)
         out = tmp_path / "a.csv"
         argv = ["eval-auth", "--classifier", str(classifier), "--out", str(out), *self.SMALL]
         assert main(argv) == 0
@@ -406,7 +448,7 @@ class TestFitMleClient:
         got = fit_mle_client(server, legit, cfg, 30, batched)
         seen = [run_interaction(PdtAgent(server), PdtAgent(legit), 30, scalar, scalar) for _ in range(100)]
         want = adv.make_mle_adversary(seen, 3, 3)
-        assert got.pdt.nodes.tobytes() == want.pdt.nodes.tobytes()
+        assert got.pdt.probs.tobytes() == want.pdt.probs.tobytes()
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 

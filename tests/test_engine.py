@@ -40,7 +40,7 @@ class SpyAgent:
 
 def literal_pdt(n, depth, row):
     nodes = np.tile(np.asarray(row, dtype=float), (node_count(n, depth), 1))
-    return Pdt(n, depth, 1.0, nodes, node_kind="literal")
+    return Pdt(n, depth, nodes)
 
 
 class TestRunInteraction:
@@ -200,7 +200,7 @@ class TestRunPdtSessions:
         legit = generate_random_pdt(3, 2, 0.1, rng)
         seen = [run_interaction(PdtAgent(server), PdtAgent(legit), 6, rng, rng) for _ in range(4)]
         mle = fit_mle_pdt(3, 2, seen)
-        assert (mle.nodes == 0).any()
+        assert (mle.probs == 0).any()
         edges = [0.0, 1 / 3, 1 / 3 + 1 / 3, 0.5, 0.25, 0.75, 1.0, np.nextafter(1.0, 0.0)]
         u = rng.choice(edges, size=(6, 40, 2))
         clients = [mle, legit, mle, mle, legit, mle]
@@ -263,9 +263,9 @@ class TestDeriveKey:
     def test_model_difference_changes_key(self):
         rng = np.random.default_rng(11)
         model = generate_random_pdt(3, 2, 0.5, rng)
-        perturbed_nodes = np.array(model.nodes)
-        perturbed_nodes[0, 0] += 0.5  # root is always visited
-        other = Pdt(3, 2, 0.5, perturbed_nodes)
+        perturbed = np.array(model.probs)
+        perturbed[0] = [0.5, 0.25, 0.25]  # root is always visited
+        other = Pdt(3, 2, perturbed)
         h = run_interaction(
             PdtAgent(generate_random_pdt(3, 2, 1.0, rng)), PdtAgent(model), 10,
             np.random.default_rng(12), np.random.default_rng(13),

@@ -29,7 +29,7 @@ from oracles import (
 
 def literal_pdt(n, depth, row):
     nodes = np.tile(np.asarray(row, dtype=float), (node_count(n, depth), 1))
-    return Pdt(n, depth, 1.0, nodes, node_kind="literal")
+    return Pdt(n, depth, nodes)
 
 
 def brute_force_p(server_actions, model):
@@ -187,7 +187,7 @@ def count_ratio_pdt(n, depth, totals, rng):
     nodes = np.zeros((node_count(n, depth), n))
     for row, total in zip(nodes, rng.choice(totals, size=len(nodes))):
         np.add.at(row, rng.integers(0, n, size=total), 1.0 / total)
-    return Pdt(n, depth, 1.0, nodes, node_kind="literal")
+    return Pdt(n, depth, nodes)
 
 
 class TestLiteralTrees:
@@ -223,7 +223,7 @@ class TestLiteralTrees:
     def test_short_quarter_session_matches_enumeration(self):
         # Ten steps of three actions in quarters: up to 3^10 sequences.
         rows = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5], [0.25, 0.5, 0.25]]
-        model = Pdt(3, 1, 1.0, np.array(rows), node_kind="literal")
+        model = Pdt(3, 1, np.array(rows))
         for h, q, scores in self.sessions(model, 9, 8, 5):
             exact = enumerated_p(q, scores, statistic(h, model))
             assert p_value(h, model) == pytest.approx(exact, rel=0, abs=1e-12)

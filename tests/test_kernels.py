@@ -9,7 +9,11 @@ convolution to the saddle point.
 """
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +31,10 @@ from agentauth.models import (
     PdtAgent,
     fit_mle_pdt,
     generate_random_pdt,
+    load_pdt,
     node_count,
     node_path,
+    save_pdt,
 )
 from agentauth.rl import p_curve
 from oracles import (
@@ -155,7 +161,7 @@ class TestScoreTables:
         observed = [
             run_interaction(PdtAgent(server), PdtAgent(legit), 6, rng, rng) for _ in range(3)
         ]
-        q = fit_mle_pdt(3, 2, observed).node_probs(slice(None))
+        q = fit_mle_pdt(3, 2, observed).probs
         assert np.any(q == 0.0)
         assert score_tables(q).tobytes() == loop_score_tables(q).tobytes()
 
@@ -172,7 +178,56 @@ def test_fit_mle_matches_loop(role, n, k, l, sessions):
     observed = [run_interaction(PdtAgent(a), PdtAgent(b), l, rng, rng) for _ in range(sessions)]
     observed.append([])  # an empty transcript fits nothing
     fitted = fit_mle_pdt(n, k, observed, role=role)
-    assert fitted.nodes.tobytes() == loop_fit_mle(n, k, observed, role).tobytes()
+    assert fitted.probs.tobytes() == loop_fit_mle(n, k, observed, role).tobytes()
+
+
+# ---------------------------------------------------------------- model files
+
+
+def test_sessions_through_a_saved_model_keep_their_digest(tmp_path):
+    """Steps, p-values and keys of 30 paper-default sessions, scored with the
+    generated user tree and with its save/load copy, hashed into one digest
+    taken before model files stored probabilities."""
+    rng = np.random.default_rng(18)
+    server = generate_random_pdt(10, 5, 1.0, rng)
+    user = generate_random_pdt(10, 5, 0.1, rng)
+    save_pdt(user, tmp_path / "user.json")
+    loaded = load_pdt(tmp_path / "user.json")
+    digest = hashlib.sha256()
+    for _ in range(30):
+        history = run_interaction(PdtAgent(server), PdtAgent(user), 200, rng, rng)
+        digest.update(np.asarray(history.steps, dtype="<i8").tobytes())
+        for model in (user, loaded):
+            digest.update(struct.pack("<d", p_value(history, model)))
+            digest.update(derive_key(history, model))
+    assert digest.hexdigest() == "fac201dcd48c10fa9cede615b5f49059bc465e2fdab24946230d7608b18626b4"
+
+
+LOAD_AND_HASH = """
+import hashlib, sys
+from agentauth.models import load_pdt
+print(hashlib.sha256(load_pdt(sys.argv[1]).probs.tobytes()).hexdigest())
+"""
+
+
+def test_saved_model_loads_to_the_same_table_on_reduced_simd(tmp_path):
+    """A process whose numpy may not use AVX-512 loads a paper-size model
+    file to the table this process saved: loading runs no arithmetic, so the
+    CPU's SIMD path cannot move a bit of it."""
+    user = generate_random_pdt(10, 5, 0.1, np.random.default_rng(19))
+    save_pdt(user, tmp_path / "user.json")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_AND_HASH, str(tmp_path / "user.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == hashlib.sha256(user.probs.tobytes()).hexdigest()
 
 
 # ---------------------------------------------------------------- golden outputs

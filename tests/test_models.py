@@ -1,3 +1,4 @@
+import hashlib
 import json
 from functools import reduce
 
@@ -94,7 +95,7 @@ class TestTraverse:
 
     @pytest.mark.parametrize("n,depth", [(2, 3), (3, 4), (4, 2), (10, 5)])
     def test_past_depth_is_node_of_last_k_actions(self, n, depth):
-        pdt = Pdt(n, depth, 1.0, np.zeros((node_count(n, depth), n)))
+        pdt = Pdt(n, depth, np.full((node_count(n, depth), n), 1 / n))
         history = list(np.random.default_rng(n + depth).integers(1, n + 1, size=60))
         node = 0
         for t, a in enumerate(history, start=1):
@@ -116,9 +117,8 @@ class TestTraverse:
 class TestActionDistribution:
     def test_empty_history_is_root(self):
         pdt = generate_random_pdt(4, 3, 0.7, np.random.default_rng(3))
-        assert np.array_equal(
-            pdt.action_distribution([]), boltzmann(pdt.nodes[0], 0.7)
-        )
+        logits = np.random.default_rng(3).random((pdt.num_nodes, 4))
+        assert np.array_equal(pdt.action_distribution([]), boltzmann(logits[0], 0.7))
 
     def test_windowing(self):
         pdt = generate_random_pdt(3, 5, 0.5, np.random.default_rng(4))
@@ -140,10 +140,10 @@ class TestActionDistribution:
             )
 
     def test_toy_hand_traverse(self):
-        nodes = np.array([[0.3, 0.9], [0.2, 0.1], [0.8, 0.4]])
-        pdt = Pdt(n_actions=2, depth=1, temperature=0.5, nodes=nodes)
+        probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
+        pdt = Pdt(n_actions=2, depth=1, probs=probs)
         # branch 2 from the root is breadth-first node 2
-        assert np.array_equal(pdt.action_distribution([2]), boltzmann(nodes[2], 0.5))
+        assert np.array_equal(pdt.action_distribution([2]), [0.2, 0.8])
 
     @pytest.mark.parametrize("bad", [0, 4, -1])
     def test_rejects_out_of_range_action(self, bad):
@@ -155,7 +155,7 @@ class TestActionDistribution:
 class TestSampleAction:
     def test_degenerate_distribution(self):
         nodes = np.array([[1.0, 0.0, 0.0]] * node_count(3, 1))
-        pdt = Pdt(3, 1, 1.0, nodes, node_kind="literal")
+        pdt = Pdt(3, 1, nodes)
         rng = np.random.default_rng(7)
         assert all(pdt.sample_action([], rng) == 1 for _ in range(100))
 
@@ -194,14 +194,14 @@ class TestSampleAction:
         legit = generate_random_pdt(3, 2, 0.2, rng)
         sessions = [run_interaction(PdtAgent(legit), PdtAgent(legit), 8, rng, rng) for _ in range(4)]
         pdt = fit_mle_pdt(3, 2, sessions)
-        rows = pdt._probs
+        rows = pdt.probs
         assert np.any(rows == 0.0) and np.any(rows[:, :-1] == rows[:, 1:])
         self.assert_matches_reference(pdt, bfs_paths(3, 2))
 
     def test_sums_ending_below_one_give_the_last_action(self):
         # A literal row may sum to 1 - 1e-10; a u past its last sum is action n.
         nodes = np.array([[0.2, 0.3, 0.5 - 1e-10]] * node_count(3, 1))
-        pdt = Pdt(3, 1, 1.0, nodes, node_kind="literal")
+        pdt = Pdt(3, 1, nodes)
         last = float(np.cumsum(nodes[0])[-1])
         assert last < 1.0
         for u in (np.nextafter(last, 2), (last + 1.0) / 2, np.nextafter(1.0, 0)):
@@ -226,11 +226,13 @@ class TestGenerateRandomPdt:
     def test_same_seed_identical(self):
         a = generate_random_pdt(3, 3, 1.0, np.random.default_rng(12))
         b = generate_random_pdt(3, 3, 1.0, np.random.default_rng(12))
-        assert np.array_equal(a.nodes, b.nodes)
+        assert np.array_equal(a.probs, b.probs)
 
     def test_logits_in_unit_interval(self):
-        pdt = generate_random_pdt(3, 4, 1.0, np.random.default_rng(13))
-        assert np.all(pdt.nodes >= 0) and np.all(pdt.nodes <= 1)
+        # Each row is the Boltzmann distribution of one row of unit draws.
+        pdt = generate_random_pdt(3, 4, 0.4, np.random.default_rng(13))
+        logits = np.random.default_rng(13).random((pdt.num_nodes, 3))
+        assert np.array_equal(pdt.probs, [boltzmann(row, 0.4) for row in logits])
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
@@ -241,7 +243,7 @@ class TestGenerateRandomPdt:
     def test_immutable_nodes(self):
         pdt = generate_random_pdt(3, 2, 1.0, np.random.default_rng(14))
         with pytest.raises(ValueError):
-            pdt.nodes[0, 0] = 5.0
+            pdt.probs[0, 0] = 5.0
 
 
 class TestFitMle:
@@ -249,19 +251,19 @@ class TestFitMle:
         # single node context, client plays 2 five times
         steps = [(1, 2)] * 5
         pdt = fit_mle_pdt(3, 1, [steps])
-        assert np.array_equal(pdt.node_probs(0), [0.0, 1.0, 0.0])
+        assert np.array_equal(pdt.probs[0], [0.0, 1.0, 0.0])
 
     def test_unvisited_uniform(self):
         steps = [(1, 2)]
         pdt = fit_mle_pdt(3, 1, [steps])
         # child nodes never reached
-        assert np.allclose(pdt.node_probs(3), [1 / 3] * 3)
+        assert np.allclose(pdt.probs[3], [1 / 3] * 3)
 
     def test_count_ratios(self):
         # root sees each transcript's first client action: counts [1, 2, 1]
         transcripts = [[(1, 1)], [(1, 2)], [(1, 2)], [(1, 3)]]
         pdt = fit_mle_pdt(3, 1, transcripts)
-        assert np.array_equal(pdt.node_probs(0), [0.25, 0.5, 0.25])
+        assert np.array_equal(pdt.probs[0], [0.25, 0.5, 0.25])
 
     def test_empty_transcripts(self):
         with pytest.raises(ValueError):
@@ -280,89 +282,36 @@ class TestFitMle:
         ]
         fitted = fit_mle_pdt(2, 1, transcripts)
         for node in range(true.num_nodes):
-            tv = 0.5 * np.abs(fitted.node_probs(node) - true.node_probs(node)).sum()
+            tv = 0.5 * np.abs(fitted.probs[node] - true.probs[node]).sum()
             assert tv <= 0.05
 
 
-class TestSaveLoad:
-    def test_round_trip_bit_exact(self, tmp_path):
-        pdt = generate_random_pdt(3, 3, 0.37, np.random.default_rng(16))
-        path = tmp_path / "model.json"
-        save_pdt(pdt, path)
-        loaded = load_pdt(path)
-        assert loaded.n_actions == pdt.n_actions
-        assert loaded.depth == pdt.depth
-        assert loaded.temperature == pdt.temperature
-        assert np.array_equal(loaded.nodes, pdt.nodes)
-        assert np.array_equal(loaded._probs, pdt._probs)
+class TestProbabilityTable:
+    """Pdt holds one read-only (num_nodes, n) table of probabilities."""
 
-    def test_literal_round_trip(self, tmp_path):
-        pdt = fit_mle_pdt(3, 1, [[(1, 2), (2, 1)]])
-        path = tmp_path / "mle.json"
-        save_pdt(pdt, path)
-        loaded = load_pdt(path)
-        assert loaded.node_kind == "literal"
-        assert np.array_equal(loaded.nodes, pdt.nodes)
+    @staticmethod
+    def uniform(n=3, depth=1):
+        return np.full((node_count(n, depth), n), 1 / n)
 
-    def test_wrong_node_count_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        doc = {
-            "version": 1,
-            "n_actions": 3,
-            "depth": 2,
-            "temperature": 1.0,
-            "node_kind": "logit",
-            "nodes": [[0.1, 0.2, 0.3]] * 5,  # should be 13
-        }
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="nodes"):
-            load_pdt(path)
+    @pytest.mark.parametrize(
+        "row", [[1.1, -0.1, 0.0], [0.5, 0.5, 1e-8], [np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]]
+    )
+    def test_invalid_row_rejected(self, row):
+        probs = self.uniform()
+        probs[2] = row
+        with pytest.raises(ValueError, match="probabilities"):
+            Pdt(3, 1, probs)
 
-    def test_zero_temperature_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        doc = {
-            "version": 1,
-            "n_actions": 2,
-            "depth": 1,
-            "temperature": 0.0,
-            "node_kind": "logit",
-            "nodes": [[0.1, 0.2]] * 3,
-        }
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="temperature"):
-            load_pdt(path)
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Pdt(3, 2, self.uniform())
 
-    def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99}))
-        with pytest.raises(UnsupportedVersionError):
-            load_pdt(path)
-
-    def test_missing_field_named(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 1, "n_actions": 2}))
-        with pytest.raises(ModelFormatError, match="depth"):
-            load_pdt(path)
-
-    def test_garbage_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ModelFormatError):
-            load_pdt(path)
-
-
-def write_v1(pdt, path):
-    """A version-1 file, byte for byte as version-1 save_pdt wrote it."""
-    doc = {
-        "version": 1,
-        "n_actions": pdt.n_actions,
-        "depth": pdt.depth,
-        "temperature": pdt.temperature,
-        "node_kind": pdt.node_kind,
-        "nodes": [list(row) for row in pdt.nodes],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    def test_holds_its_own_read_only_copy(self):
+        probs = self.uniform()
+        pdt = Pdt(3, 1, probs)
+        probs[0] = [1.0, 0.0, 0.0]
+        assert pdt.probs[0, 0] == 1 / 3
+        assert not pdt.probs.flags.writeable
 
 
 def split_v2(path):
@@ -375,6 +324,101 @@ def write_v2(path, header, body):
     path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
+def write_logit_file(path, n, depth, temperature, logits):
+    """A version-2 file of logits, byte for byte as save_pdt wrote one before
+    model files held probabilities."""
+    body = np.ascontiguousarray(logits, dtype="<f8").tobytes()
+    header = {
+        "version": 2,
+        "n_actions": n,
+        "depth": depth,
+        "temperature": temperature,
+        "node_kind": "logit",
+        "dtype": "<f8",
+        "sha256": hashlib.sha256(body).hexdigest(),
+    }
+    write_v2(path, header, body)
+
+
+class TestSaveLoad:
+    def test_round_trip_bit_exact(self, tmp_path):
+        pdt = generate_random_pdt(3, 3, 0.37, np.random.default_rng(16))
+        path = tmp_path / "model.json"
+        save_pdt(pdt, path)
+        loaded = load_pdt(path)
+        assert loaded.n_actions == pdt.n_actions
+        assert loaded.depth == pdt.depth
+        assert loaded.probs.tobytes() == pdt.probs.tobytes()
+
+    def test_literal_round_trip(self, tmp_path):
+        pdt = fit_mle_pdt(3, 1, [[(1, 2), (2, 1)]])
+        path = tmp_path / "mle.json"
+        save_pdt(pdt, path)
+        assert split_v2(path)[0]["node_kind"] == "literal"
+        assert np.array_equal(load_pdt(path).probs, pdt.probs)
+
+    def test_wrong_node_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        write_logit_file(path, 3, 2, 1.0, [[0.1, 0.2, 0.3]] * 5)  # should be 13 rows
+        with pytest.raises(ModelFormatError, match="does not match a tree with n=3, k=2"):
+            load_pdt(path)
+
+    def test_zero_temperature_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        write_logit_file(path, 2, 1, 0.0, [[0.1, 0.2]] * 3)
+        with pytest.raises(ModelFormatError, match="temperature"):
+            load_pdt(path)
+
+    def test_literal_body_of_non_probabilities_rejected(self, tmp_path):
+        # Logits under a literal header: a valid checksum, but rows not summing to 1.
+        path = tmp_path / "model.json"
+        write_logit_file(path, 2, 1, 1.0, [[0.1, 0.2]] * 3)
+        header, body = split_v2(path)
+        write_v2(path, {**header, "node_kind": "literal"}, body)
+        with pytest.raises(ModelFormatError, match="sum to 1"):
+            load_pdt(path)
+
+    def test_unknown_node_kind_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_pdt(generate_random_pdt(2, 1, 1.0, np.random.default_rng(20)), path)
+        header, body = split_v2(path)
+        write_v2(path, {**header, "node_kind": "cdf"}, body)
+        with pytest.raises(ModelFormatError, match="node_kind"):
+            load_pdt(path)
+
+    def test_version_mismatch(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 99}))
+        with pytest.raises(UnsupportedVersionError):
+            load_pdt(path)
+
+    def test_version_1_refused(self, tmp_path):
+        path = tmp_path / "v1.json"
+        doc = {
+            "version": 1,
+            "n_actions": 2,
+            "depth": 1,
+            "temperature": 0.5,
+            "node_kind": "logit",
+            "nodes": [[0.25, 0.75], [0.0, 1.0], [1.0, -1.0]],
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(UnsupportedVersionError, match="version: 1"):
+            load_pdt(path)
+
+    def test_missing_field_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 2, "n_actions": 2}))
+        with pytest.raises(ModelFormatError, match="depth"):
+            load_pdt(path)
+
+    def test_garbage_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ModelFormatError):
+            load_pdt(path)
+
+
 class TestModelFileV2:
     def test_paper_size_round_trip_bit_exact(self, tmp_path):
         pdt = generate_random_pdt(10, 5, 0.1, np.random.default_rng(17))
@@ -382,22 +426,36 @@ class TestModelFileV2:
         save_pdt(pdt, path)
         header, body = split_v2(path)
         assert header["version"] == 2 and header["dtype"] == "<f8"
-        assert len(body) == node_count(10, 5) * 10 * 8
+        assert (header["node_kind"], header["temperature"]) == ("literal", 1.0)
+        assert body == pdt.probs.tobytes()
         loaded = load_pdt(path)
-        assert (loaded.n_actions, loaded.depth, loaded.temperature) == (10, 5, 0.1)
-        assert loaded.node_kind == "logit"
-        assert np.array_equal(loaded.nodes, pdt.nodes)
-        assert np.array_equal(loaded._probs, pdt._probs)
+        assert (loaded.n_actions, loaded.depth) == (10, 5)
+        assert loaded.probs.tobytes() == pdt.probs.tobytes()
 
     def test_literal_with_exact_zeros_round_trip(self, tmp_path):
         pdt = fit_mle_pdt(3, 2, [[(1, 2), (2, 1), (3, 3), (1, 2)]])
-        assert np.any(pdt.nodes == 0.0)
+        assert np.any(pdt.probs == 0.0)
         path = tmp_path / "mle.json"
         save_pdt(pdt, path)
-        loaded = load_pdt(path)
-        assert loaded.node_kind == "literal"
-        assert np.array_equal(loaded.nodes, pdt.nodes)
-        assert np.array_equal(loaded._probs, pdt._probs)
+        assert load_pdt(path).probs.tobytes() == pdt.probs.tobytes()
+
+    def test_logit_file_loads_to_the_generated_model(self, tmp_path):
+        """A logit file, as gen-models wrote before files held probabilities,
+        loads to the generated tree's table, keys and p-values, and re-saving
+        it writes that table."""
+        rng = np.random.default_rng(21)
+        logits = np.random.default_rng(21).random((node_count(10, 3), 10))
+        user = generate_random_pdt(10, 3, 0.1, rng)
+        server = generate_random_pdt(10, 3, 1.0, rng)
+        write_logit_file(tmp_path / "logit.json", 10, 3, 0.1, logits)
+        loaded = load_pdt(tmp_path / "logit.json")
+        assert loaded.probs.tobytes() == user.probs.tobytes()
+        for _ in range(5):
+            history = run_interaction(PdtAgent(server), PdtAgent(user), 200, rng, rng)
+            assert derive_key(history, loaded) == derive_key(history, user)
+            assert hypothesis_test(history, loaded, 0.1) == hypothesis_test(history, user, 0.1)
+        save_pdt(loaded, tmp_path / "literal.json")
+        assert split_v2(tmp_path / "literal.json")[1] == user.probs.tobytes()
 
     def _saved(self, tmp_path):
         path = tmp_path / "model.json"
@@ -453,48 +511,3 @@ class TestModelFileV2:
         write_v2(path, header, body)
         with pytest.raises(ModelFormatError, match=field):
             load_pdt(path)
-
-    def test_hand_written_v1_doc_loads(self, tmp_path):
-        path = tmp_path / "v1.json"
-        doc = {
-            "version": 1,
-            "n_actions": 2,
-            "depth": 1,
-            "temperature": 0.5,
-            "node_kind": "logit",
-            "nodes": [[0.25, 0.75], [0.0, 1.0], [1.0, -1.0]],
-        }
-        path.write_text(json.dumps(doc))
-        loaded = load_pdt(path)
-        assert (loaded.n_actions, loaded.depth, loaded.temperature) == (2, 1, 0.5)
-        assert np.array_equal(loaded.nodes, doc["nodes"])
-
-    def test_v1_trailing_data_rejected(self, tmp_path):
-        path = tmp_path / "v1.json"
-        write_v1(generate_random_pdt(2, 1, 1.0, np.random.default_rng(20)), path)
-        with open(path, "a") as f:
-            f.write("\n{}")
-        with pytest.raises(ModelFormatError, match="after"):
-            load_pdt(path)
-
-
-class TestV1ToV2Conversion:
-    """Converting a v1 file to v2 changes no node, key or p-value bit."""
-
-    def test_keys_and_p_values_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(21)
-        user = generate_random_pdt(10, 3, 0.1, rng)
-        server = generate_random_pdt(10, 3, 1.0, rng)
-        history = run_interaction(PdtAgent(server), PdtAgent(user), 200, rng, rng)
-        write_v1(user, tmp_path / "v1.json")
-        from_v1 = load_pdt(tmp_path / "v1.json")
-        save_pdt(from_v1, tmp_path / "v2.json")
-        from_v2 = load_pdt(tmp_path / "v2.json")
-        assert split_v2(tmp_path / "v2.json")[0]["version"] == 2
-        assert np.array_equal(from_v1.nodes, from_v2.nodes)
-        assert np.array_equal(from_v1._probs, from_v2._probs)
-        assert derive_key(history, from_v1) == derive_key(history, from_v2)
-        assert derive_key(history, from_v2) == derive_key(history, user)
-        v1 = hypothesis_test(history, from_v1, 0.1)
-        v2 = hypothesis_test(history, from_v2, 0.1)
-        assert v1 == v2

@@ -35,7 +35,7 @@ def probing_legit():
             if pos % n == 0:  # branch taken was action 1
                 nodes[next_start + pos] = [1.0, 0.0, 0.0]
         start, width = next_start, width * n
-    return Pdt(n, k, 1.0, nodes, node_kind="literal")
+    return Pdt(n, k, nodes)
 
 
 class TestEnv:
@@ -84,11 +84,7 @@ class TestEnv:
 
     def test_reward_zero_when_p_is_one(self):
         # deterministic legit model: z always equals the null mean, p = 1
-        legit = Pdt(
-            3, 5, 1.0,
-            np.tile([1.0, 0.0, 0.0], (node_count(3, 5), 1)),
-            node_kind="literal",
-        )
+        legit = Pdt(3, 5, np.tile([1.0, 0.0, 0.0], (node_count(3, 5), 1)))
         cfg = ProbeEnvConfig(
             legit=legit, population=[PdtAgent(legit)], episode_length=3
         )
