@@ -283,10 +283,15 @@ class RunningPValue:
     update() is called once per step with both simultaneous actions; the
     step's conditional distribution is taken at `node` before `node` takes
     its Pdt.next_node step by the server action, matching simultaneity.
+
+    A node's step statistics (its action scores, mean score and score
+    variance) are computed on its first visit and kept in the dict `memo`,
+    which accumulators of one model may share; by default each has its own.
     """
 
-    def __init__(self, model: Pdt):
+    def __init__(self, model: Pdt, memo: dict | None = None):
         self.model = model
+        self._memo = {} if memo is None else memo
         self.node = 0
         self._sum_score = 0.0
         self._sum_mean = 0.0
@@ -297,12 +302,18 @@ class RunningPValue:
         n = self.model.n_actions
         if not (0 < server_action <= n and 0 < client_action <= n):
             raise ValueError(f"step {(server_action, client_action)} has an action outside 1..{n}")
-        q = self.model.probs[self.node]
-        scores = action_scores(q)
-        self._sum_score += float(scores[client_action - 1])
-        m = float((q * scores).sum())
+        stats = self._memo.get(self.node)
+        if stats is None:
+            q = self.model.probs[self.node]
+            scores = action_scores(q)
+            m = float((q * scores).sum())
+            stats = self._memo[self.node] = (
+                scores.tolist(), m, float((q * scores**2).sum()) - m * m
+            )
+        scores, m, var = stats
+        self._sum_score += scores[client_action - 1]
         self._sum_mean += m
-        self._sum_var += float((q * scores**2).sum()) - m * m
+        self._sum_var += var
         self.steps += 1
         self.node = self.model.next_node(self.node, server_action)
 

@@ -107,7 +107,10 @@ class Pdt:
                 f"probs must have shape ({expected}, {self.n_actions}), got {probs.shape}"
             )
         # One test for all: NaN fails both comparisons, and inf either one.
-        if not (probs.min() >= 0 and np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9):
+        # einsum, because sum(axis=1) is several times slower over rows this
+        # short; the tolerance makes the order of summation irrelevant.
+        row_sums = np.einsum("ij->i", probs)
+        if not (probs.min() >= 0 and np.abs(row_sums - 1.0).max() <= 1e-9):
             raise ValueError("node probabilities must be >= 0 and sum to 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -133,11 +133,17 @@ class UniformAgent:
         return int(rng.integers(1, self.n_actions + 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeEnvConfig:
+    """The legit tree, the adversary population and the episode length.
+    Every episode on one config shares its RunningPValue memo of the legit
+    tree's node statistics, which outlives episodes and train_probe calls;
+    the config is frozen so that the tree behind the memo cannot change."""
+
     legit: Pdt
     population: list
     episode_length: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.episode_length < 1:
@@ -163,7 +169,7 @@ class ProbeEnv:
         self._client = self.cfg.population[
             int(self.rng.integers(len(self.cfg.population)))
         ]
-        self._running = RunningPValue(self.cfg.legit)
+        self._running = RunningPValue(self.cfg.legit, self.cfg._memo)
         self._server_hist = []
         self._done = False
         return self._running.node
@@ -244,7 +250,7 @@ def _apply_updates(policy, buffer, lr_policy, lr_value, entropy_bonus):
         pi = policy.distribution(s)
         advantage = g - policy.values[s]
         policy.values[s] += lr_value * advantage
-        grad = -pi.copy()
+        grad = -pi
         grad[a - 1] += 1.0
         logp = np.log(pi)
         entropy = float(-(pi * logp).sum())

@@ -100,6 +100,37 @@ def incremental_p(history: InteractionHistory, model) -> float:
     return _normal_two_sided(z, mean, variance)
 
 
+class RunningP:
+    """Reference RunningPValue: rescores the node's row at every step."""
+
+    def __init__(self, model):
+        self.model = model
+        self.node = 0
+        self._sum_score = 0.0
+        self._sum_mean = 0.0
+        self._sum_var = 0.0
+        self.steps = 0
+
+    def update(self, server_action: int, client_action: int) -> None:
+        q = self.model.probs[self.node]
+        scores = action_scores(q)
+        self._sum_score += float(scores[client_action - 1])
+        m = float((q * scores).sum())
+        self._sum_mean += m
+        self._sum_var += float((q * scores**2).sum()) - m * m
+        self.steps += 1
+        self.node = self.model.next_node(self.node, server_action)
+
+    @property
+    def p(self) -> float:
+        if self.steps == 0:
+            return 1.0
+        z = self._sum_score / self.steps
+        mean = self._sum_mean / self.steps
+        variance = max(self._sum_var / self.steps**2, 0.0)
+        return _normal_two_sided(z, mean, variance)
+
+
 def mc_null_means(q, scores, M, rng, chunk=16384):
     """M Monte-Carlo draws of the mean step score under the null: each
     step's client action drawn from q by inverse CDF.  Consumes

@@ -23,6 +23,7 @@ from oracles import (
     incremental_p,
     lattice_p,
     mc_null_means,
+    RunningP,
     step_score,
 )
 
@@ -334,6 +335,39 @@ class TestIncrementalP:
             running.update(a_s, a_c)
             prefix = InteractionHistory(steps=h.steps[: t + 1], n_actions=3)
             assert running.p == pytest.approx(incremental_p(prefix, model))
+
+    @pytest.mark.parametrize("n, k, tau", [(3, 5, 0.5), (10, 5, 0.1)])
+    def test_running_equals_reference_at_every_step(self, n, k, tau):
+        # Bit for bit, not approximately: the reference rescores every step.
+        rng = np.random.default_rng(16)
+        model = generate_random_pdt(n, k, tau, rng)
+        server = generate_random_pdt(n, k, 1.0, rng)
+        for client in (PdtAgent(model), make_random_adversary(n, k, tau, rng)):
+            h = run_interaction(PdtAgent(server), client, 299, rng, rng)
+            running, reference = RunningPValue(model), RunningP(model)
+            for a_s, a_c in h.steps:
+                running.update(a_s, a_c)
+                reference.update(a_s, a_c)
+                assert running.p == reference.p
+                assert running.node == reference.node
+
+    @pytest.mark.parametrize("n, k, tau", [(3, 5, 0.5), (10, 5, 0.1)])
+    def test_running_sharing_a_memo_equals_reference(self, n, k, tau):
+        # Two sessions stepped in turn, each meeting nodes the other scored.
+        rng = np.random.default_rng(17)
+        model = generate_random_pdt(n, k, tau, rng)
+        server = generate_random_pdt(n, k, 1.0, rng)
+        clients = (PdtAgent(model), make_random_adversary(n, k, tau, rng))
+        histories = [run_interaction(PdtAgent(server), c, 199, rng, rng) for c in clients]
+        memo = {}
+        running = [RunningPValue(model, memo) for _ in histories]
+        reference = [RunningP(model) for _ in histories]
+        for steps in zip(*(h.steps for h in histories)):
+            for r, ref, (a_s, a_c) in zip(running, reference, steps):
+                r.update(a_s, a_c)
+                ref.update(a_s, a_c)
+                assert r.p == ref.p
+        assert 0 < len(memo) <= 2 * 200
 
     @pytest.mark.parametrize("step", [(1, 0), (1, 4), (0, 1), (4, 1)])
     def test_running_refuses_action_outside_range(self, step):

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -92,6 +96,20 @@ class TestEnv:
         env.reset()
         _, r, _ = env.step(1)
         assert r == 0.0
+
+    def test_config_memo_filled_lazily_and_shared_by_episodes(self):
+        cfg = self._cfg(l=13)
+        assert cfg._memo == {}  # no node is scored before a step needs it
+        memo = cfg._memo
+        for seed in (10, 11):
+            env = ProbeEnv(cfg, np.random.default_rng(seed))
+            env.reset()
+            done = False
+            while not done:
+                _, _, done = env.step(1 + seed % 3)
+            assert cfg._memo is memo and 0 < len(memo) <= 13
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.legit = generate_random_pdt(3, 5, 0.5, np.random.default_rng(12))
 
     def test_reset_samples_population_uniformly(self):
         cfg = self._cfg()
@@ -261,6 +279,28 @@ class TestTraining:
             initial_policy=res1.policy,
         )
         assert np.max(np.abs(res2.policy.values - before)) < 1e-3
+
+    def test_two_calls_on_one_config_keep_their_digest(self):
+        """Preferences, values, logs and the generator's end state of a run at
+        the probe dimensions continued over two calls on one config, as the
+        benchmark runs it, hashed into one digest taken while every step
+        rescored its node."""
+        rng = np.random.default_rng(30)
+        legit = generate_random_pdt(3, 5, 0.5, rng)
+        pop = sample_population(3, 5, 0.5, 20, seed=31)
+        cfg = ProbeEnvConfig(legit=legit, population=pop, episode_length=100)
+        digest = hashlib.sha256()
+        policy = None
+        for _ in range(2):
+            result = train_probe(
+                cfg, rng, total_steps=3000, log_every=1000, initial_policy=policy
+            )
+            policy = result.policy
+            digest.update(np.asarray(result.log, dtype="<f8").tobytes())
+        digest.update(policy.preferences.astype("<f8").tobytes())
+        digest.update(policy.values.astype("<f8").tobytes())
+        digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+        assert digest.hexdigest() == "d7c30df6dbb0a9135b1f7862ac1613b5ae5ecb560d0c8a38a8110a9bde7d8f02"
 
     def test_table_dimensions(self):
         rng = np.random.default_rng(23)

@@ -22,7 +22,7 @@ import spans
 tracer = spans.Tracer()
 missing = spans.install(tracer)
 
-from agentauth import engine, net
+from agentauth import adv, engine, net, rl
 from agentauth.models import PdtAgent, generate_random_pdt
 
 rng = np.random.default_rng(40)
@@ -39,6 +39,12 @@ finally:
     server.shutdown()
     server.server_close()
 engine.run_interaction(PdtAgent(server_model), PdtAgent(legit), 10, rng, rng)
+probe = rl.ProbeEnvConfig(
+    legit=generate_random_pdt(3, 5, 0.5, rng),
+    population=adv.sample_population(3, 5, 0.5, 2, 41),
+    episode_length=10,
+)
+rl.train_probe(probe, rng, total_steps=60)
 counts = collections.Counter(span[0] for span in tracer.spans)
 print(json.dumps({"missing": missing, "counts": counts}))
 """
@@ -63,3 +69,7 @@ def test_span_wrappers_see_every_layer():
     # l=10 is 11 commit-reveal rounds on each side of the loopback session.
     assert report["counts"]["net.exchange_step"] == 22
     assert report["counts"]["engine.run_interaction"] == 1
+    # 60 training steps: one policy draw, one environment step and one
+    # running update each.
+    for span in ("rl.act", "rl.ProbeEnv.step", "hypo.RunningPValue.update"):
+        assert report["counts"].get(span) == 60, span
