@@ -187,6 +187,9 @@ def cmd_length_sweep(args) -> int:
 
 
 def cmd_train_probe(args) -> int:
+    for option, count in (("--steps", args.steps), ("--population", args.population)):
+        if count < 1:
+            raise _Failed(f"{option} {count} is below 1")
     cfg = load_config(args.config, "probe", _dim_overrides(args))
     _, legit = _load_or_generate(args, cfg)
     rng = np.random.default_rng(args.seed)

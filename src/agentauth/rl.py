@@ -204,8 +204,12 @@ def train_probe(
     initial_policy: ProbePolicy | None = None,
 ) -> TrainResult:
     """n-step advantage actor-critic on the tabular probe policy."""
-    if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
+    counts = {"total_steps": total_steps, "rollout": rollout, "log_every": log_every}
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     env = ProbeEnv(cfg, rng)
     policy = initial_policy or ProbePolicy.zeros(
         cfg.legit.num_nodes, cfg.legit.n_actions, epsilon
@@ -237,6 +241,10 @@ def train_probe(
 
 
 def _apply_updates(policy, buffer, lr_policy, lr_value, entropy_bonus):
+    """n-step returns, then the rollout's updates in visit rounds: round j holds
+    the j-th visit of every buffered state, so a round's states are distinct and
+    each state's visits keep buffer order.  An entry touches only its own state's
+    rows, so this is bit for bit the update of one entry after another."""
     s_last, _, _, done_last, ns_last = buffer[-1]
     carry = 0.0 if done_last else float(policy.values[ns_last])
     returns = [0.0] * len(buffer)
@@ -246,16 +254,26 @@ def _apply_updates(policy, buffer, lr_policy, lr_value, entropy_bonus):
             carry = 0.0
         carry = r + carry
         returns[i] = carry
-    for (s, a, r, done, _), g in zip(buffer, returns):
-        pi = policy.distribution(s)
-        advantage = g - policy.values[s]
+    rounds, visits = [], {}
+    for (s, a, *_), g in zip(buffer, returns):
+        j = visits[s] = visits.get(s, -1) + 1
+        if j == len(rounds):
+            rounds.append([])
+        rounds[j].append((s, a - 1, g))
+    for entries in rounds:
+        states, actions, g = zip(*entries)
+        s = np.array(states)
+        prefs = policy.preferences[s]
+        e = np.exp(prefs - prefs.max(axis=1, keepdims=True))
+        pi = e / e.sum(axis=1, keepdims=True)
+        advantage = np.array(g) - policy.values[s]
         policy.values[s] += lr_value * advantage
         grad = -pi
-        grad[a - 1] += 1.0
+        grad[np.arange(len(s)), actions] += 1.0
         logp = np.log(pi)
-        entropy = float(-(pi * logp).sum())
+        entropy = -(pi * logp).sum(axis=1, keepdims=True)
         ent_grad = -pi * (logp + entropy)
-        policy.preferences[s] += lr_policy * (advantage * grad + entropy_bonus * ent_grad)
+        policy.preferences[s] += lr_policy * (advantage[:, None] * grad + entropy_bonus * ent_grad)
 
 
 def p_curve(

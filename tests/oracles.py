@@ -131,6 +131,30 @@ class RunningP:
         return _normal_two_sided(z, mean, variance)
 
 
+def apply_updates(policy, buffer, lr_policy, lr_value, entropy_bonus):
+    """Reference rollout update of rl.train_probe: the n-step returns, then
+    one buffer entry after another, each on its own state's row."""
+    s_last, _, _, done_last, ns_last = buffer[-1]
+    carry = 0.0 if done_last else float(policy.values[ns_last])
+    returns = [0.0] * len(buffer)
+    for i in range(len(buffer) - 1, -1, -1):
+        s, a, r, done, _ = buffer[i]
+        if done:
+            carry = 0.0
+        carry = r + carry
+        returns[i] = carry
+    for (s, a, r, done, _), g in zip(buffer, returns):
+        pi = policy.distribution(s)
+        advantage = g - policy.values[s]
+        policy.values[s] += lr_value * advantage
+        grad = -pi
+        grad[a - 1] += 1.0
+        logp = np.log(pi)
+        entropy = float(-(pi * logp).sum())
+        ent_grad = -pi * (logp + entropy)
+        policy.preferences[s] += lr_policy * (advantage * grad + entropy_bonus * ent_grad)
+
+
 def mc_null_means(q, scores, M, rng, chunk=16384):
     """M Monte-Carlo draws of the mean step score under the null: each
     step's client action drawn from q by inverse CDF.  Consumes

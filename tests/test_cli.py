@@ -273,6 +273,18 @@ class TestExperimentInputErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, value", [("--steps", "0"), ("--steps", "-5"), ("--population", "0")]
+    )
+    def test_train_probe_count_below_one_refused(self, tmp_path, capsys, option, value):
+        out = tmp_path / "policy.json"
+        assert_refused(
+            ["train-probe", "--out", str(out), "--n", "3", "--k", "2", "--l", "5",
+             option, value],
+            capsys, "agentauth train-probe:", f"{option} {value}",
+        )
+        assert not out.exists()
+
     def test_classifier_of_matching_width_runs(self, tmp_path):
         classifier = tmp_path / "clf.json"
         clf.save_classifier(clf.Mlp(36, 4), classifier, 3, 5)

@@ -16,13 +16,14 @@ from agentauth.rl import (
     ProbeEnvConfig,
     ProbePolicy,
     UniformAgent,
+    _apply_updates,
     act,
     evaluate_policy,
     p_curve,
     steps_to_threshold,
     train_probe,
 )
-from oracles import FixedUniforms, choice_draw, node_index, softmax_act
+from oracles import FixedUniforms, apply_updates, choice_draw, node_index, softmax_act
 
 
 def probing_legit():
@@ -198,6 +199,72 @@ class TestAct:
             act(policy, 4, MODE_SOFTMAX, np.random.default_rng(18))
 
 
+# Hand-made rollouts of (state, action, reward, done, next_state) entries over
+# six states of three actions.
+ROLLOUTS = {
+    "one state visited 3 times": [
+        (0, 1, 0.3, False, 2), (2, 3, 0.5, False, 0), (0, 2, 0.1, False, 1),
+        (1, 1, 0.9, False, 0), (0, 3, 0.7, False, 4),
+    ],
+    "done in mid-buffer": [
+        (0, 1, 0.2, False, 1), (1, 2, 0.4, True, 4), (0, 3, 0.6, False, 2),
+        (2, 1, 0.8, False, 5),
+    ],
+    "last entry done": [
+        (3, 2, 0.1, False, 4), (4, 1, 0.5, False, 3), (3, 3, 0.9, True, 5),
+    ],
+    "last entry not done": [
+        (3, 2, 0.1, False, 4), (4, 1, 0.5, False, 3), (3, 3, 0.9, False, 5),
+    ],
+    "one entry": [(5, 2, 0.7, False, 1)],
+    "one state throughout": [
+        (2, 1, 0.1, False, 2), (2, 3, 0.2, False, 2), (2, 2, 0.3, False, 2),
+        (2, 1, 0.4, False, 2),
+    ],
+}
+
+
+class TestRolloutUpdate:
+    """_apply_updates leaves the preferences and values byte for byte where
+    the reference, one entry after another, leaves them."""
+
+    @staticmethod
+    def _policies(num_states, n, seed):
+        rng = np.random.default_rng(seed)
+        policy = ProbePolicy(
+            preferences=rng.normal(0.0, 2.0, (num_states, n)),
+            values=rng.normal(0.0, 1.0, num_states),
+        )
+        reference = ProbePolicy(policy.preferences.copy(), policy.values.copy())
+        return policy, reference
+
+    @staticmethod
+    def _assert_same_update(policy, reference, buffer, rates):
+        _apply_updates(policy, buffer, *rates)
+        apply_updates(reference, buffer, *rates)
+        assert policy.preferences.tobytes() == reference.preferences.tobytes()
+        assert policy.values.tobytes() == reference.values.tobytes()
+
+    @pytest.mark.parametrize("name", list(ROLLOUTS))
+    def test_hand_made_rollout_equals_reference(self, name):
+        policy, reference = self._policies(6, 3, seed=40)
+        self._assert_same_update(policy, reference, ROLLOUTS[name], (0.5, 0.3, 0.2))
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_random_rollouts_equal_reference(self, n):
+        # 30-entry rollouts over few states, so most states recur, applied
+        # in turn to one policy as train_probe applies them.
+        rng = np.random.default_rng(41 + n)
+        policy, reference = self._policies(8, n, seed=42)
+        for _ in range(50):
+            buffer = [
+                (int(rng.integers(8)), int(rng.integers(1, n + 1)), float(rng.random()),
+                 bool(rng.random() < 0.1), int(rng.integers(8)))
+                for _ in range(30)
+            ]
+            self._assert_same_update(policy, reference, buffer, (0.1, 0.1, 0.01))
+
+
 class TestTraining:
     def test_zero_learning_rates_no_op(self):
         rng = np.random.default_rng(15)
@@ -301,6 +368,21 @@ class TestTraining:
         digest.update(policy.values.astype("<f8").tobytes())
         digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
         assert digest.hexdigest() == "d7c30df6dbb0a9135b1f7862ac1613b5ae5ecb560d0c8a38a8110a9bde7d8f02"
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("rollout", 0), ("rollout", -3), ("log_every", 0),
+         ("epsilon", -0.1), ("epsilon", 2.0), ("epsilon", float("nan"))],
+    )
+    def test_bad_option_refused(self, option, value):
+        rng = np.random.default_rng(32)
+        legit = generate_random_pdt(3, 2, 0.5, rng)
+        cfg = ProbeEnvConfig(
+            legit=legit, population=sample_population(3, 2, 0.5, 2, seed=33),
+            episode_length=5,
+        )
+        with pytest.raises(ValueError, match=option):
+            train_probe(cfg, rng, total_steps=10, **{option: value})
 
     def test_table_dimensions(self):
         rng = np.random.default_rng(23)
