@@ -8,7 +8,7 @@ mini-batch Adam on binary cross-entropy.  Label 1 means "legitimate client".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,23 +113,21 @@ class Mlp:
             self.weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
+    def _layers(self, x: np.ndarray):
+        """The input of every layer, then the output probabilities."""
+        acts = [x]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        logits = acts[-1] @ self.weights[-1] + self.biases[-1]
+        return acts, _sigmoid(logits[:, 0])
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probabilities in (0, 1), shape (batch,)."""
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        logits = h @ self.weights[-1] + self.biases[-1]
-        return _sigmoid(logits[:, 0])
+        return self._layers(x)[1]
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
         """Mean binary cross-entropy and its gradients."""
-        acts = [x]
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-            acts.append(h)
-        logits = (h @ self.weights[-1] + self.biases[-1])[:, 0]
-        p = _sigmoid(logits)
+        acts, p = self._layers(x)
         eps = 1e-12
         loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
         m = len(y)
@@ -173,10 +171,9 @@ def train_classifier(dataset: Dataset, cfg: TrainConfig) -> Mlp:
         raise ValueError("training set must contain both labels")
     rng = np.random.default_rng(cfg.seed)
     model = Mlp(dataset.x_train.shape[1], cfg.hidden, seed=cfg.seed)
-    mw = [np.zeros_like(w) for w in model.weights]
-    vw = [np.zeros_like(w) for w in model.weights]
-    mb = [np.zeros_like(b) for b in model.biases]
-    vb = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases  # the model's own arrays, updated in place
+    mean = [np.zeros_like(a) for a in params]
+    sq = [np.zeros_like(a) for a in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     for _ in range(cfg.epochs):
@@ -187,16 +184,11 @@ def train_classifier(dataset: Dataset, cfg: TrainConfig) -> Mlp:
             step += 1
             corr1 = 1 - beta1**step
             corr2 = 1 - beta2**step
-            for i in range(len(model.weights)):
-                mw[i] = beta1 * mw[i] + (1 - beta1) * gw[i]
-                vw[i] = beta2 * vw[i] + (1 - beta2) * gw[i] ** 2
-                model.weights[i] -= cfg.learning_rate * (mw[i] / corr1) / (
-                    np.sqrt(vw[i] / corr2) + eps
-                )
-                mb[i] = beta1 * mb[i] + (1 - beta1) * gb[i]
-                vb[i] = beta2 * vb[i] + (1 - beta2) * gb[i] ** 2
-                model.biases[i] -= cfg.learning_rate * (mb[i] / corr1) / (
-                    np.sqrt(vb[i] / corr2) + eps
+            for i, g in enumerate(gw + gb):
+                mean[i] = beta1 * mean[i] + (1 - beta1) * g
+                sq[i] = beta2 * sq[i] + (1 - beta2) * g**2
+                params[i] -= cfg.learning_rate * (mean[i] / corr1) / (
+                    np.sqrt(sq[i] / corr2) + eps
                 )
     return model
 

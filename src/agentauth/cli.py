@@ -64,13 +64,27 @@ PROBE_SERIES = {
 }
 # What reading an input file raises for a missing or malformed file.
 _LOAD_ERRORS = (OSError, KeyError, TypeError, ValueError)
+# Lowest value of each count in a config.  A probe curve needs a step to score
+# and two sessions for its standard error.
+_LOWEST = {"n": 2, "k": 1, "l": 0, "trials": 1}
+_LOWEST_PROBE = {**_LOWEST, "l": 1, "trials": 2}
 
 
 def load_config(path, experiment: str, overrides: dict) -> dict:
+    """The experiment's defaults, updated by the config file and then by the
+    overrides that are not None; a value out of range is refused."""
     cfg = dict(EXPERIMENT_DEFAULTS[experiment])
     if path:
         cfg.update(_read(lambda p: dict(json.loads(Path(p).read_text())), path))
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    for key, lowest in (_LOWEST_PROBE if experiment == "probe" else _LOWEST).items():
+        if not (type(cfg[key]) is int and cfg[key] >= lowest):
+            raise _Failed(f"{key} must be an integer >= {lowest}, got {cfg[key]!r}")
+    if not (type(cfg["alpha"]) in (int, float) and 0 < cfg["alpha"] < 1):
+        raise _Failed(f"alpha must be in (0, 1), got {cfg['alpha']!r}")
+    for key in ("tau_server", "tau_client"):
+        if not (type(cfg[key]) in (int, float) and cfg[key] > 0):
+            raise _Failed(f"{key} must be a number above 0, got {cfg[key]!r}")
     return cfg
 
 
@@ -124,7 +138,7 @@ def write_csv(path, fieldnames, rows):
 
 
 def cmd_gen_models(args) -> int:
-    cfg = load_config(args.config, args.experiment, _dim_overrides(args))
+    cfg = load_config(args.config, args.experiment, _overrides(args))
     server, user = generate_models(cfg, args.seed)
     os.makedirs(args.out, exist_ok=True)
     save_pdt(server, os.path.join(args.out, "server.json"))
@@ -140,9 +154,9 @@ def accuracy_loop(args, key: str, label: str, grid=None, classifier=None) -> int
     its `key` column ("l" or "test"): eval-auth runs the configured l alone,
     with hypo and the optional clf test, and length-sweep runs hypo over its
     grid.  `label` formats a cell's l and test for the printed line."""
-    cfg = load_config(args.config, "hypo", _dim_overrides(args))
+    cfg = load_config(args.config, "hypo", _overrides(args))
     server, legit = _load_or_generate(args, cfg)
-    trials = args.trials or cfg["trials"]
+    trials = cfg["trials"]
     rng = np.random.default_rng(args.seed)
 
     def hypo_test(history):
@@ -183,6 +197,8 @@ def cmd_eval_auth(args) -> int:
 
 
 def cmd_length_sweep(args) -> int:
+    if args.grid and min(args.grid) < 0:
+        raise _Failed(f"--grid {min(args.grid)} is below 0")
     return accuracy_loop(args, "l", "l={l:4d}", grid=args.grid or LENGTH_SWEEP_GRID)
 
 
@@ -190,7 +206,7 @@ def cmd_train_probe(args) -> int:
     for option, count in (("--steps", args.steps), ("--population", args.population)):
         if count < 1:
             raise _Failed(f"{option} {count} is below 1")
-    cfg = load_config(args.config, "probe", _dim_overrides(args))
+    cfg = load_config(args.config, "probe", _overrides(args))
     _, legit = _load_or_generate(args, cfg)
     rng = np.random.default_rng(args.seed)
     population = adv.sample_population(
@@ -215,7 +231,7 @@ def cmd_train_probe(args) -> int:
 
 
 def cmd_eval_probe(args) -> int:
-    cfg = load_config(args.config, "probe", _dim_overrides(args))
+    cfg = load_config(args.config, "probe", _overrides(args))
     _, legit = _load_or_generate(args, cfg)
     policy = _read(rl.ProbePolicy.load, args.policy)
     want = (legit.num_nodes, legit.n_actions)
@@ -226,7 +242,7 @@ def cmd_eval_probe(args) -> int:
         )
     rng = np.random.default_rng(args.seed)
     population = adv.sample_population(
-        cfg["n"], cfg["k"], cfg["tau_client"], args.trials, args.seed + 2
+        cfg["n"], cfg["k"], cfg["tau_client"], cfg["trials"], args.seed + 2
     )
     rows = []
     for label, mode in PROBE_SERIES.items():
@@ -249,12 +265,12 @@ def cmd_eval_probe(args) -> int:
         replay_rows = []
         for label, mode in PROBE_SERIES.items():
             finals, reject_rate = rl.evaluate_replay(
-                policy, legit, mode, args.trials, cfg["l"], rng, alpha=cfg["alpha"]
+                policy, legit, mode, cfg["trials"], cfg["l"], rng, alpha=cfg["alpha"]
             )
             replay_rows.append(
                 {
                     "series": label,
-                    "trials": args.trials,
+                    "trials": cfg["trials"],
                     "mean_final_p": float(finals.mean()),
                     "reject_rate": reject_rate,
                     "seed": args.seed,
@@ -351,8 +367,8 @@ def _load_or_generate(args, cfg):
     return server, legit
 
 
-def _dim_overrides(args) -> dict:
-    keys = ("n", "k", "l", "tau_server", "tau_client", "alpha")
+def _overrides(args) -> dict:
+    keys = ("n", "k", "l", "tau_server", "tau_client", "alpha", "trials")
     return {k: getattr(args, k, None) for k in keys}
 
 

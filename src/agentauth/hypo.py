@@ -45,21 +45,6 @@ class AuthVerdict:
     method: str
 
 
-def action_scores(q: np.ndarray) -> np.ndarray:
-    """Per-action step score under conditional distribution q.
-
-    score(a) = (q(a) + mass of all actions no more likely than a) / 2.
-    Both halves read as "likelihood the action came from the model": the
-    first is the plain likelihood, the second the rank mass including ties.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    order = np.argsort(q, kind="stable")
-    sq = q[order]
-    cum = np.cumsum(sq)
-    idx = np.searchsorted(sq, q, side="right")
-    return 0.5 * (q + cum[idx - 1])
-
-
 def step_distributions(server_actions, model: Pdt, steps: int) -> np.ndarray:
     """Model's conditional client-action distribution at each step, given the
     server actions strictly before it.  Shape (steps, n_actions)."""
@@ -67,8 +52,12 @@ def step_distributions(server_actions, model: Pdt, steps: int) -> np.ndarray:
 
 
 def score_tables(q: np.ndarray) -> np.ndarray:
-    """action_scores of every row of q at once; row t equals
-    action_scores(q[t]) bit for bit."""
+    """Per-action step scores under each row q[t] of conditional distributions.
+
+    score(a) = (q(a) + mass of all actions no more likely than a) / 2.
+    Both halves read as "likelihood the action came from the model": the
+    first is the plain likelihood, the second the rank mass including ties.
+    """
     sq = np.take_along_axis(q, np.argsort(q, axis=1, kind="stable"), axis=1)
     cum = np.cumsum(sq, axis=1)
     # Counting the sorted entries <= q(a) is searchsorted(sq, q(a), "right").
@@ -305,7 +294,7 @@ class RunningPValue:
         stats = self._memo.get(self.node)
         if stats is None:
             q = self.model.probs[self.node]
-            scores = action_scores(q)
+            scores = score_tables(q[None])[0]
             m = float((q * scores).sum())
             stats = self._memo[self.node] = (
                 scores.tolist(), m, float((q * scores**2).sum()) - m * m

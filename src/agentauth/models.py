@@ -231,10 +231,9 @@ _REQUIRED_FIELDS = ("n_actions", "depth", "temperature", "node_kind", "dtype", "
 
 
 def load_pdt(path) -> Pdt:
-    """Read a version-2 model file.  A "literal" body is the probability
-    table, used as stored, so every CPU loads the same bits.  A "logit" body,
-    as earlier releases wrote, goes through one softmax at the header's
-    temperature, whose last bits can differ between CPUs."""
+    """Read a version-2 model file.  Its "literal" body is the probability
+    table, used as stored, so every CPU loads the same bits; any other
+    node_kind, such as the "logit" of earlier releases, is refused."""
     with open(path, "rb") as f:
         try:
             doc = json.loads(f.readline())
@@ -250,12 +249,7 @@ def load_pdt(path) -> Pdt:
             raise ModelFormatError(f"missing field {key!r}")
     table = _v2_nodes(doc, body)
     try:
-        if doc["node_kind"] == "logit":
-            temperature = float(doc["temperature"])
-            if not temperature > 0:
-                raise ValueError("temperature must be positive")
-            table = _softmax_rows(table, temperature)
-        elif doc["node_kind"] != "literal":
+        if doc["node_kind"] != "literal":
             raise ValueError(f"unknown node_kind {doc['node_kind']!r}")
         return Pdt(doc["n_actions"], doc["depth"], table)
     except (TypeError, ValueError) as exc:

@@ -57,7 +57,7 @@ log = logging.getLogger(__name__)
 
 
 class FrameError(ValueError):
-    """Malformed, oversized, or truncated frame."""
+    """Malformed or oversized frame: a bad length or an unknown type."""
 
 
 class ProtocolError(RuntimeError):
@@ -70,24 +70,6 @@ def encode_frame(ftype: int, payload: bytes) -> bytes:
     if 1 + len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"payload of {len(payload)} bytes exceeds frame cap")
     return struct.pack(">IB", len(payload) + 1, ftype) + payload
-
-
-def decode_frame(data: bytes) -> tuple[int, bytes, int]:
-    """Decode one frame from the head of data; returns (type, payload,
-    bytes consumed)."""
-    if len(data) < 5:
-        raise FrameError("truncated frame: missing header")
-    (length,) = struct.unpack(">I", data[:4])
-    if length < 1:
-        raise FrameError("frame length must be at least 1")
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
-    if len(data) < 4 + length:
-        raise FrameError("truncated frame: missing payload")
-    ftype = data[4]
-    if ftype not in FRAME_TYPES:
-        raise FrameError(f"unknown frame type 0x{ftype:02x}")
-    return ftype, data[5 : 4 + length], 4 + length
 
 
 def send_frame(sock: socket.socket, ftype: int, payload: bytes = b"") -> None:

@@ -305,8 +305,11 @@ class EvalResult:
 def evaluate_policy(
     server_factory, adversaries, legit: Pdt, steps: int, rng: np.random.Generator
 ) -> EvalResult:
-    """p-value trajectory of fresh sessions, one per adversary.
-    server_factory() must return a fresh agent handle per session."""
+    """p-value trajectory of fresh sessions, one per adversary, of which
+    there must be at least 2 for a standard error.  server_factory() must
+    return a fresh agent handle per session."""
+    if len(adversaries) < 2:
+        raise ValueError(f"need at least 2 adversaries, got {len(adversaries)}")
     curves = np.stack(
         [
             p_curve(server_factory(), adversary, legit, steps, rng)
@@ -318,13 +321,6 @@ def evaluate_policy(
         stderr_p=curves.std(axis=0, ddof=1) / np.sqrt(curves.shape[0]),
         curves=curves,
     )
-
-
-def steps_to_threshold(mean_p: np.ndarray, threshold: float) -> int | None:
-    """First step (1-based) at which the mean p-value is at or below the
-    threshold, or None if it never is."""
-    below = np.nonzero(mean_p <= threshold)[0]
-    return int(below[0]) + 1 if below.size else None
 
 
 def evaluate_replay(

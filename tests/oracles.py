@@ -12,12 +12,29 @@ from agentauth.hypo import (
     _TIE,
     _atom_bound,
     _normal_two_sided,
-    action_scores,
     observed_scores,
     score_tables,
     step_distributions,
 )
 from agentauth.models import PdtAgent
+
+
+def action_scores(q) -> np.ndarray:
+    """Reference step scores of hypo.score_tables for one distribution q:
+    score(a) = (q(a) + mass of all actions no more likely than a) / 2, the
+    rank mass read off a stable sort by searchsorted."""
+    q = np.asarray(q, dtype=np.float64)
+    sq = q[np.argsort(q, kind="stable")]
+    cum = np.cumsum(sq)
+    idx = np.searchsorted(sq, q, side="right")
+    return 0.5 * (q + cum[idx - 1])
+
+
+def steps_to_threshold(mean_p: np.ndarray, threshold: float) -> int | None:
+    """First step (1-based) at which the mean p-value is at or below the
+    threshold, or None if it never is."""
+    below = np.nonzero(mean_p <= threshold)[0]
+    return int(below[0]) + 1 if below.size else None
 
 
 def node_index(n_actions: int, depth: int, context) -> int:

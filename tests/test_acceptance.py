@@ -17,8 +17,9 @@ from scipy import stats
 
 from agentauth import adv, clf, net, rl
 from agentauth.engine import run_interaction
-from agentauth.hypo import action_scores, p_value
+from agentauth.hypo import p_value
 from agentauth.models import PdtAgent, generate_random_pdt
+from oracles import action_scores, steps_to_threshold
 
 
 def _report(num, name, checks):
@@ -218,7 +219,7 @@ class TestCriterion5:
             ("uniform", lambda: rl.UniformAgent(3)),
         ]:
             res = rl.evaluate_policy(factory, eval_pop, legit, 100, rng)
-            steps[label] = rl.steps_to_threshold(res.mean_p, 0.2)
+            steps[label] = steps_to_threshold(res.mean_p, 0.2)
         reached = steps["eps"] is not None and steps["uniform"] is not None
         ratio_ok = reached and steps["uniform"] >= 1.15 * steps["eps"]
         _report(5, "probing efficiency", {
@@ -314,15 +315,15 @@ class TestCriterion7:
     def _fuzz_frames():
         rng = np.random.default_rng(73)
         types = sorted(net.FRAME_TYPES)
-        for _ in range(100_000):
-            ftype = types[rng.integers(len(types))]
-            payload = rng.bytes(int(rng.integers(0, 64)))
-            got_type, got_payload, consumed = net.decode_frame(
-                net.encode_frame(ftype, payload))
-            if (got_type, got_payload) != (ftype, payload):
-                return False
-            if consumed != 5 + len(payload):
-                return False
+        writer, reader = socket.socketpair()
+        reader.settimeout(5.0)
+        with writer, reader:
+            for _ in range(100_000):
+                ftype = types[rng.integers(len(types))]
+                payload = rng.bytes(int(rng.integers(0, 64)))
+                writer.sendall(net.encode_frame(ftype, payload))
+                if net.recv_frame(reader) != (ftype, payload):
+                    return False
         return True
 
 

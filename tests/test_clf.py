@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -134,6 +135,25 @@ class TestTraining:
         m2 = train_classifier(ds, cfg)
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
+
+    def test_weights_and_biases_keep_their_digest(self):
+        """Pinned to the digest of the trained parameters taken before the
+        weight and bias Adam updates became one loop."""
+        rng = np.random.default_rng(5)
+        s = generate_random_pdt(3, 2, 1.0, rng)
+        u = generate_random_pdt(3, 2, 0.1, rng)
+        cfg = TrainConfig(n_legit=60, n_adv=60, epochs=3, batch_size=16, hidden=8, seed=6)
+        ds = generate_dataset(
+            s, u, lambda rg: make_random_adversary(3, 2, 0.1, rg), cfg, 10, rng
+        )
+        model = train_classifier(ds, cfg)
+        digest = hashlib.sha256()
+        for array in model.weights + model.biases:
+            digest.update(array.tobytes())
+        assert (
+            digest.hexdigest()
+            == "29a5813202cd021d8aedc79d7798b6dd070fbc29c747b457f589232ccf64936e"
+        )
 
     def test_single_label_rejected(self):
         ds = self._toy_dataset()

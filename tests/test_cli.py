@@ -336,6 +336,77 @@ class TestExperimentInputErrors:
         )
 
 
+class TestConfigRanges:
+    """Every experiment setting is checked once, in load_config: a value out
+    of range, from a flag or a config file, is one stderr line and exit 1."""
+
+    DIMS = ["--n", "3", "--k", "1", "--l", "5"]
+
+    @pytest.mark.parametrize(
+        "command, flag, value, needle",
+        [
+            ("eval-auth", "--alpha", "0", "alpha must be in (0, 1), got 0.0"),
+            ("eval-auth", "--alpha", "1", "alpha must be in (0, 1), got 1.0"),
+            ("eval-auth", "--l", "-1", "l must be an integer >= 0, got -1"),
+            ("eval-auth", "--n", "1", "n must be an integer >= 2, got 1"),
+            ("eval-auth", "--k", "0", "k must be an integer >= 1, got 0"),
+            ("eval-auth", "--tau-client", "0", "tau_client must be a number above 0, got 0.0"),
+            ("length-sweep", "--tau-server", "-1", "tau_server must be a number above 0, got -1.0"),
+            ("eval-auth", "--trials", "0", "trials must be an integer >= 1, got 0"),
+            ("eval-auth", "--trials", "-3", "trials must be an integer >= 1, got -3"),
+            ("length-sweep", "--trials", "0", "trials must be an integer >= 1, got 0"),
+            ("eval-probe", "--l", "0", "l must be an integer >= 1, got 0"),
+            ("eval-probe", "--trials", "1", "trials must be an integer >= 2, got 1"),
+            ("eval-probe", "--trials", "0", "trials must be an integer >= 2, got 0"),
+        ],
+    )
+    def test_flag_out_of_range_refused(self, tmp_path, capsys, command, flag, value, needle):
+        out = tmp_path / "out.csv"
+        extra = ["--policy", "unused.json"] if command == "eval-probe" else []
+        assert_refused(
+            [command, "--out", str(out), *extra, *self.DIMS, flag, value],
+            capsys, f"agentauth {command}:", needle,
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ('{"alpha": 1.5}', "alpha must be in (0, 1), got 1.5"),
+            ('{"n": "3"}', "n must be an integer >= 2, got '3'"),
+            ('{"l": 2.5}', "l must be an integer >= 0, got 2.5"),
+            ('{"tau_client": null}', "tau_client must be a number above 0, got None"),
+        ],
+    )
+    def test_config_file_value_out_of_range_refused(self, tmp_path, capsys, text, needle):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert_refused(
+            ["eval-auth", "--config", str(config), "--out", str(tmp_path / "a.csv")],
+            capsys, "agentauth eval-auth:", needle,
+        )
+
+    def test_negative_grid_value_refused(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert_refused(
+            ["length-sweep", "--grid", "5", "-2", "--out", str(out), *self.DIMS],
+            capsys, "agentauth length-sweep:", "--grid -2 is below 0",
+        )
+        assert not out.exists()
+
+    def test_trials_from_the_config_file(self, tmp_path):
+        """Without --trials, every command takes the config's trials."""
+        config = tmp_path / "config.json"
+        config.write_text('{"trials": 2}')
+        policy, curves, sweep = tmp_path / "policy.json", tmp_path / "c.csv", tmp_path / "s.csv"
+        common = ["--config", str(config), *self.DIMS]
+        assert main(["train-probe", "--out", str(policy), "--steps", "50", *common]) == 0
+        assert main(["eval-probe", "--policy", str(policy), "--out", str(curves), *common]) == 0
+        assert len(read_rows(curves)) == 3 * 5
+        assert main(["length-sweep", "--grid", "3", "--out", str(sweep), *common]) == 0
+        assert {r["trials"] for r in read_rows(sweep)} == {"2"}
+
+
 class TestAddressErrors:
     """A malformed --connect or --listen is one stderr line and exit 1."""
 

@@ -6,7 +6,6 @@ import pytest
 from agentauth.engine import InteractionHistory, load_transcript, run_interaction, save_transcript
 from agentauth.hypo import (
     RunningPValue,
-    action_scores,
     hypothesis_test,
     null_tail,
     p_value,
@@ -17,6 +16,7 @@ from agentauth.hypo import test_statistic as statistic
 from agentauth.models import Pdt, PdtAgent, generate_random_pdt, node_count
 from agentauth.adv import make_random_adversary
 from oracles import (
+    action_scores,
     analytic_moments,
     convolved_exactly,
     enumerated_p,

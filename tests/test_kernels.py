@@ -22,7 +22,6 @@ from agentauth.adv import make_mle_adversary, make_random_adversary, make_replay
 from agentauth.engine import KEY_QUANT_BITS, InteractionHistory, derive_key, run_interaction
 from agentauth.hypo import (
     _normal_two_sided,
-    action_scores,
     p_value,
     score_tables,
 )
@@ -38,6 +37,7 @@ from agentauth.models import (
 )
 from agentauth.rl import p_curve
 from oracles import (
+    action_scores,
     analytic_moments,
     convolved_exactly,
     enumerated_p,

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentauth.engine import ProtocolViolation, run_interaction
 from agentauth.models import PdtAgent, generate_random_pdt
@@ -25,7 +27,6 @@ from agentauth.net import (
     ServerConfig,
     client_authenticate,
     commit_digest,
-    decode_frame,
     encode_frame,
     recv_frame,
     send_frame,
@@ -58,44 +59,108 @@ def live_server(models):
         server.server_close()
 
 
+@pytest.fixture()
+def pair():
+    """A connected (writer, reader) socket pair; the reader gives up after 5 s."""
+    writer, reader = socket.socketpair()
+    reader.settimeout(5.0)
+    with writer, reader:
+        yield writer, reader
+
+
+def header(length: int, ftype: int) -> bytes:
+    return length.to_bytes(4, "big") + bytes([ftype])
+
+
+def received(pair, wire: bytes, close: bool = False):
+    """recv_frame of wire, sent down the pair, then closed if close."""
+    writer, reader = pair
+    writer.sendall(wire)
+    if close:
+        writer.shutdown(socket.SHUT_WR)
+    return recv_frame(reader)
+
+
+FRAMES = st.builds(encode_frame, st.sampled_from(sorted(FRAME_TYPES)), st.binary(max_size=64))
+# Headers at and around each length bound recv_frame checks, of any type byte.
+EDGE_HEADERS = st.builds(
+    header,
+    st.sampled_from([0, 1, 2, MAX_FRAME_BYTES, MAX_FRAME_BYTES + 1, 2**32 - 1]),
+    st.integers(0, 255),
+)
+
+
 class TestFrameCodec:
-    def test_round_trip_fuzz(self):
+    """recv_frame, the one frame parser, reading from a socket pair."""
+
+    def test_round_trip_fuzz(self, pair):
+        writer, reader = pair
         rng = np.random.default_rng(41)
         types = sorted(FRAME_TYPES)
         for _ in range(500):
             ftype = types[rng.integers(len(types))]
             payload = rng.bytes(int(rng.integers(0, 200)))
-            wire = encode_frame(ftype, payload)
-            got_type, got_payload, consumed = decode_frame(wire + b"trailing")
-            assert (got_type, got_payload, consumed) == (ftype, payload, len(wire))
+            writer.sendall(encode_frame(ftype, payload))
+            assert recv_frame(reader) == (ftype, payload)
 
-    def test_truncated_header_rejected(self):
-        with pytest.raises(FrameError):
-            decode_frame(b"\x00\x00")
+    def test_truncated_header_rejected(self, pair):
+        with pytest.raises(ProtocolError, match="closed mid-frame"):
+            received(pair, b"\x00\x00", close=True)
 
-    def test_truncated_payload_rejected(self):
+    def test_truncated_payload_rejected(self, pair):
         wire = encode_frame(FRAME_HELLO, b"abcdef")
-        with pytest.raises(FrameError):
-            decode_frame(wire[:-1])
+        with pytest.raises(ProtocolError, match="closed mid-frame"):
+            received(pair, wire[:-1], close=True)
 
-    def test_oversized_rejected_both_ways(self):
+    def test_oversized_rejected_both_ways(self, pair):
         with pytest.raises(FrameError):
             encode_frame(FRAME_HELLO, b"x" * MAX_FRAME_BYTES)
-        huge = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + bytes([FRAME_HELLO])
-        with pytest.raises(FrameError):
-            decode_frame(huge)
+        with pytest.raises(FrameError, match="bad frame length"):
+            received(pair, header(MAX_FRAME_BYTES + 1, FRAME_HELLO))
 
-    def test_unknown_type_rejected(self):
+    def test_unknown_type_rejected(self, pair):
         with pytest.raises(FrameError):
             encode_frame(0x42, b"")
-        wire = bytearray(encode_frame(FRAME_HELLO, b""))
-        wire[4] = 0x42
-        with pytest.raises(FrameError):
-            decode_frame(bytes(wire))
+        with pytest.raises(FrameError, match="unknown frame type 0x42"):
+            received(pair, header(1, 0x42))
 
-    def test_zero_length_rejected(self):
-        with pytest.raises(FrameError):
-            decode_frame(b"\x00\x00\x00\x00")
+    def test_zero_length_rejected(self, pair):
+        with pytest.raises(FrameError, match="bad frame length 0"):
+            received(pair, b"\x00\x00\x00\x00")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=st.lists(st.one_of(FRAMES, EDGE_HEADERS, st.binary(max_size=64)), max_size=24),
+        cuts=st.lists(st.integers(0, 2048), max_size=8),
+    )
+    def test_any_byte_stream_gives_frames_or_frame_errors(self, pieces, cuts):
+        """Valid frames, edge-case headers and arbitrary bytes, sent as one
+        stream in arbitrary pieces and then closed: every recv_frame call
+        returns a frame or raises FrameError or ProtocolError, and the stream
+        ends in ProtocolError."""
+        data = b"".join(pieces)
+        writer, reader = socket.socketpair()
+        reader.settimeout(5.0)
+        bounds = [0, *sorted(c for c in cuts if c < len(data)), len(data)]
+
+        def send():
+            with writer:
+                for lo, hi in zip(bounds, bounds[1:]):
+                    writer.sendall(data[lo:hi])
+
+        thread = threading.Thread(target=send)
+        thread.start()
+        with reader:
+            while True:
+                try:
+                    ftype, payload = recv_frame(reader)
+                except FrameError:
+                    continue
+                except ProtocolError:
+                    break
+                assert ftype in FRAME_TYPES and len(payload) < MAX_FRAME_BYTES
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
 
 class TestCommit:

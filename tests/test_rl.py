@@ -20,10 +20,16 @@ from agentauth.rl import (
     act,
     evaluate_policy,
     p_curve,
-    steps_to_threshold,
     train_probe,
 )
-from oracles import FixedUniforms, apply_updates, choice_draw, node_index, softmax_act
+from oracles import (
+    FixedUniforms,
+    apply_updates,
+    choice_draw,
+    node_index,
+    softmax_act,
+    steps_to_threshold,
+)
 
 
 def probing_legit():
@@ -409,6 +415,13 @@ class TestEvaluation:
         )
         # under the null p is uniform: mean around 0.5 at every step
         assert res.mean_p[-1] > 0.25
+
+    def test_fewer_than_two_adversaries_refused(self):
+        legit = generate_random_pdt(3, 1, 0.5, np.random.default_rng(28))
+        with pytest.raises(ValueError, match="at least 2 adversaries, got 1"):
+            evaluate_policy(
+                lambda: UniformAgent(3), [PdtAgent(legit)], legit, 5, np.random.default_rng(29)
+            )
 
     def test_steps_to_threshold(self):
         assert steps_to_threshold(np.array([0.9, 0.3, 0.1, 0.05]), 0.2) == 3
