@@ -384,7 +384,6 @@ def _add_common(p, out_required=True):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=out_required, help="output path")
     p.add_argument("--models", help="directory with server.json / user.json; sets n and k")
-    p.add_argument("--trials", type=int)
     for flag, typ in [
         ("--n", int),
         ("--k", int),
@@ -407,11 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-auth", help="accuracy per metric and test")
     p.add_argument("--classifier", help="trained classifier checkpoint")
+    p.add_argument("--trials", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_eval_auth)
 
     p = sub.add_parser("length-sweep", help="accuracy as a function of l")
     p.add_argument("--grid", type=int, nargs="+")
+    p.add_argument("--trials", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_length_sweep)
 
@@ -425,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-probe", help="p-value curves for probe policies")
     p.add_argument("--policy", required=True)
     p.add_argument("--replay-out", help="replay summary CSV path")
+    p.add_argument("--trials", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_eval_probe)
 

@@ -16,7 +16,6 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -42,11 +41,18 @@ DEFAULT_EPSILON = 0.25
 
 @dataclass
 class ProbePolicy:
-    """Tabular softmax preferences and value baseline, one row per tree node."""
+    """Tabular softmax preferences and value baseline, one row per tree node.
+
+    Softmax act draws from a private table, state -> the running sums of the
+    state's softmax row over their last, filled on the state's first softmax
+    draw and rewritten by every rollout update that changes the row.  So
+    `preferences` may be written directly only before the first softmax
+    draw; a later direct write leaves the table stale."""
 
     preferences: np.ndarray  # (num_states, n_actions)
     values: np.ndarray  # (num_states,)
     epsilon: float = DEFAULT_EPSILON
+    _draw_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, num_states: int, n_actions: int, epsilon: float = DEFAULT_EPSILON):
@@ -61,9 +67,7 @@ class ProbePolicy:
         return self.preferences.shape[1]
 
     def distribution(self, state: int) -> np.ndarray:
-        row = self.preferences[state]
-        e = np.exp(row - row.max())
-        return e / e.sum()
+        return _softmax(self.preferences[state])
 
     def save(self, path) -> None:
         doc = {
@@ -78,20 +82,43 @@ class ProbePolicy:
 
     @classmethod
     def load(cls, path) -> "ProbePolicy":
+        """A saved policy; a table that is not finite, or of the wrong shape,
+        or an epsilon outside [0, 1] raises ValueError."""
         with open(path) as f:
             doc = json.load(f)
-        return cls(
-            preferences=np.array(doc["preferences"]),
-            values=np.array(doc["values"]),
-            epsilon=doc["epsilon"],
-        )
+        preferences = np.array(doc["preferences"], dtype=float)
+        values = np.array(doc["values"], dtype=float)
+        epsilon = doc["epsilon"]
+        if not (preferences.ndim == 2 and preferences.shape[1] >= 2
+                and np.isfinite(preferences).all()):
+            raise ValueError("preferences must be a finite table of at least 2 columns")
+        if not (values.shape == preferences.shape[:1] and np.isfinite(values).all()):
+            raise ValueError(f"values must be {len(preferences)} finite numbers")
+        if not (type(epsilon) in (int, float) and 0 <= epsilon <= 1):
+            raise ValueError(f"epsilon must be a number in [0, 1], got {epsilon!r}")
+        return cls(preferences=preferences, values=values, epsilon=epsilon)
+
+
+def _softmax(prefs: np.ndarray) -> np.ndarray:
+    """Softmax of each row along the last axis: row max, exp, row sum and
+    divide, which give a row the same bits alone and inside a table."""
+    e = np.exp(prefs - prefs.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _draw_rows(prefs: np.ndarray) -> list:
+    """rng.choice(n, p=p)'s search table for the softmax row p of each row of
+    prefs, as lists: the running sums of p, added left to right, each over the
+    last.  A row that is not finite ends in NaN."""
+    cdf = np.cumsum(_softmax(prefs), axis=-1)
+    return (cdf / cdf[..., -1:]).tolist()
 
 
 def act(policy: ProbePolicy, state: int, mode: str, rng: np.random.Generator) -> int:
     """Greedy breaks ties toward the lowest action index; eps_greedy mixes in
     a uniform action with probability epsilon; softmax makes rng.choice(n,
-    p=p)'s draw in Python floats: one rng.random() bisected from the right
-    into the running sums of p over their last.  NaN raises ValueError."""
+    p=p)'s draw: one rng.random() bisected from the right into the state's
+    row of the policy's draw table.  NaN raises ValueError."""
     if mode == MODE_GREEDY:
         return int(np.argmax(policy.preferences[state])) + 1
     if mode == MODE_EPS_GREEDY:
@@ -99,10 +126,13 @@ def act(policy: ProbePolicy, state: int, mode: str, rng: np.random.Generator) ->
             return int(rng.integers(1, policy.n_actions + 1))
         return int(np.argmax(policy.preferences[state])) + 1
     if mode == MODE_SOFTMAX:
-        cdf = list(accumulate(policy.distribution(state).tolist()))
-        if not math.isfinite(cdf[-1]):
-            raise ValueError(f"preferences of state {state} give no distribution")
-        return bisect_right([c / cdf[-1] for c in cdf], rng.random()) + 1
+        sums = policy._draw_table.get(state)
+        if sums is None:
+            sums = _draw_rows(policy.preferences[state])
+            if not math.isfinite(sums[-1]):
+                raise ValueError(f"preferences of state {state} give no distribution")
+            policy._draw_table[state] = sums
+        return bisect_right(sums, rng.random()) + 1
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -244,7 +274,10 @@ def _apply_updates(policy, buffer, lr_policy, lr_value, entropy_bonus):
     """n-step returns, then the rollout's updates in visit rounds: round j holds
     the j-th visit of every buffered state, so a round's states are distinct and
     each state's visits keep buffer order.  An entry touches only its own state's
-    rows, so this is bit for bit the update of one entry after another."""
+    rows, so this is bit for bit the update of one entry after another.  Last,
+    the draw table rows of the updated states are rewritten from their new
+    softmax rows; a row whose sums are not finite is dropped, so that act
+    raises at its next draw."""
     s_last, _, _, done_last, ns_last = buffer[-1]
     carry = 0.0 if done_last else float(policy.values[ns_last])
     returns = [0.0] * len(buffer)
@@ -263,9 +296,7 @@ def _apply_updates(policy, buffer, lr_policy, lr_value, entropy_bonus):
     for entries in rounds:
         states, actions, g = zip(*entries)
         s = np.array(states)
-        prefs = policy.preferences[s]
-        e = np.exp(prefs - prefs.max(axis=1, keepdims=True))
-        pi = e / e.sum(axis=1, keepdims=True)
+        pi = _softmax(policy.preferences[s])
         advantage = np.array(g) - policy.values[s]
         policy.values[s] += lr_value * advantage
         grad = -pi
@@ -274,6 +305,11 @@ def _apply_updates(policy, buffer, lr_policy, lr_value, entropy_bonus):
         entropy = -(pi * logp).sum(axis=1, keepdims=True)
         ent_grad = -pi * (logp + entropy)
         policy.preferences[s] += lr_policy * (advantage[:, None] * grad + entropy_bonus * ent_grad)
+    for state, sums in zip(visits, _draw_rows(policy.preferences[list(visits)])):
+        if math.isfinite(sums[-1]):
+            policy._draw_table[state] = sums
+        else:
+            policy._draw_table.pop(state, None)
 
 
 def p_curve(

@@ -19,6 +19,7 @@ from agentauth.cli import (
 )
 from agentauth.engine import derive_key, run_interaction, save_transcript
 from agentauth.models import PdtAgent, generate_random_pdt, load_pdt, node_count, save_pdt
+from agentauth.rl import ProbePolicy
 
 
 def read_rows(path):
@@ -227,6 +228,27 @@ class TestExperimentInputErrors:
             capsys, "agentauth eval-auth:", str(classifier), needle,
         )
 
+    @pytest.mark.parametrize(
+        "field, value, needle",
+        [
+            ("epsilon", 5.0, "epsilon must be a number in [0, 1], got 5.0"),
+            ("preferences", [[float("nan")] * 3] * 4, "preferences must be a finite table"),
+            ("values", [0.0, 0.0], "values must be 4 finite numbers"),
+        ],
+    )
+    def test_invalid_policy_file_refused(self, tmp_path, capsys, field, value, needle):
+        # SMALL's n=3, k=1 tree has 4 nodes.
+        policy = tmp_path / "policy.json"
+        ProbePolicy.zeros(4, 3).save(policy)
+        doc = json.loads(policy.read_text())
+        policy.write_text(json.dumps({**doc, field: value}))
+        out = tmp_path / "c.csv"
+        assert_refused(
+            ["eval-probe", "--policy", str(policy), "--out", str(out), *self.SMALL],
+            capsys, "agentauth eval-probe:", str(policy), "ValueError", needle,
+        )
+        assert not out.exists()
+
     def test_classifier_of_other_width_refused_before_any_session(self, tmp_path, capsys):
         # SMALL runs at n=3, l=5; this checkpoint was saved for l=20.
         classifier = tmp_path / "clf.json"
@@ -385,6 +407,18 @@ class TestConfigRanges:
             ["eval-auth", "--config", str(config), "--out", str(tmp_path / "a.csv")],
             capsys, "agentauth eval-auth:", needle,
         )
+
+    @pytest.mark.parametrize(
+        "command", [["train-probe", "--steps", "10"], ["gen-models", "--experiment", "probe"]]
+    )
+    @pytest.mark.parametrize("value", ["1", "7"])
+    def test_trials_only_on_commands_that_read_it(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(out), *self.DIMS, "--trials", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_grid_value_refused(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

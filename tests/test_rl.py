@@ -271,6 +271,64 @@ class TestRolloutUpdate:
             self._assert_same_update(policy, reference, buffer, (0.1, 0.1, 0.01))
 
 
+def running_sums(p):
+    """The running sums of p over their last, built with numpy's left-to-right
+    cumsum, independently of rl."""
+    cdf = np.cumsum(p)
+    return (cdf / cdf[-1]).tolist()
+
+
+class TestDrawTable:
+    """Softmax act draws from a per-state table of running sums that act
+    fills on a state's first draw and the rollout update keeps fresh."""
+
+    @staticmethod
+    def _trained():
+        rng = np.random.default_rng(50)
+        legit = generate_random_pdt(3, 5, 0.5, rng)
+        cfg = ProbeEnvConfig(
+            legit=legit, population=sample_population(3, 5, 0.5, 20, seed=51),
+            episode_length=100,
+        )
+        policy = None
+        for _ in range(2):
+            policy = train_probe(cfg, rng, total_steps=3000, initial_policy=policy).policy
+        return policy
+
+    def test_rows_after_training_equal_fresh_running_sums(self):
+        policy = self._trained()
+        assert len(policy._draw_table) > 50
+        for s, sums in policy._draw_table.items():
+            assert sums == running_sums(policy.distribution(s))
+
+    def test_draws_over_all_states_equal_rng_choice(self):
+        policy = self._trained()
+        states = policy.preferences.shape[0]
+        a, b = np.random.default_rng(52), np.random.default_rng(52)
+        got = [act(policy, i % states, MODE_SOFTMAX, a) for i in range(10_000)]
+        assert got == [softmax_act(policy, i % states, b) for i in range(10_000)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_update_to_nan_preferences_drops_the_row(self):
+        policy = ProbePolicy.zeros(6, 3)
+        rng = np.random.default_rng(53)
+        assert all(1 <= act(policy, s, MODE_SOFTMAX, rng) <= 3 for s in (0, 1, 2))
+        # a NaN reward on the first entry makes only state 0's return NaN
+        buffer = [(0, 1, np.nan, False, 1), (1, 2, 0.5, False, 2), (2, 3, 0.1, False, 0)]
+        _apply_updates(policy, buffer, 0.1, 0.1, 0.01)
+        assert np.isnan(policy.preferences[0]).all()
+        with pytest.raises(ValueError):
+            act(policy, 0, MODE_SOFTMAX, rng)
+        for s in (1, 2):
+            assert policy._draw_table[s] == running_sums(policy.distribution(s))
+
+    def test_new_policies_start_with_an_empty_table(self, tmp_path):
+        policy = self._trained()
+        policy.save(tmp_path / "policy.json")
+        assert ProbePolicy.load(tmp_path / "policy.json")._draw_table == {}
+        assert ProbePolicy.zeros(4, 3)._draw_table == {}
+
+
 class TestTraining:
     def test_zero_learning_rates_no_op(self):
         rng = np.random.default_rng(15)
