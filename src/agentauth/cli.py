@@ -64,22 +64,26 @@ PROBE_SERIES = {
 }
 # What reading an input file raises for a missing or malformed file.
 _LOAD_ERRORS = (OSError, KeyError, TypeError, ValueError)
-# Lowest value of each count in a config.  A probe curve needs a step to score
-# and two sessions for its standard error.
+# Lowest value of each count in a config.  A probe episode needs a step to
+# score, and eval-probe's curves need two sessions for their standard error.
 _LOWEST = {"n": 2, "k": 1, "l": 0, "trials": 1}
-_LOWEST_PROBE = {**_LOWEST, "l": 1, "trials": 2}
+_LOWEST_PROBE = {**_LOWEST, "l": 1}
+_LOWEST_EVAL_PROBE = {**_LOWEST_PROBE, "trials": 2}
 
 
-def load_config(path, experiment: str, overrides: dict) -> dict:
+def load_config(path, experiment: str, overrides: dict, lowest: dict | None = None) -> dict:
     """The experiment's defaults, updated by the config file and then by the
-    overrides that are not None; a value out of range is refused."""
+    overrides that are not None; a value out of range, or a count below
+    `lowest` (by default the experiment's), is refused."""
     cfg = dict(EXPERIMENT_DEFAULTS[experiment])
     if path:
         cfg.update(_read(lambda p: dict(json.loads(Path(p).read_text())), path))
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    for key, lowest in (_LOWEST_PROBE if experiment == "probe" else _LOWEST).items():
-        if not (type(cfg[key]) is int and cfg[key] >= lowest):
-            raise _Failed(f"{key} must be an integer >= {lowest}, got {cfg[key]!r}")
+    if lowest is None:
+        lowest = _LOWEST_PROBE if experiment == "probe" else _LOWEST
+    for key, least in lowest.items():
+        if not (type(cfg[key]) is int and cfg[key] >= least):
+            raise _Failed(f"{key} must be an integer >= {least}, got {cfg[key]!r}")
     if not (type(cfg["alpha"]) in (int, float) and 0 < cfg["alpha"] < 1):
         raise _Failed(f"alpha must be in (0, 1), got {cfg['alpha']!r}")
     for key in ("tau_server", "tau_client"):
@@ -231,7 +235,7 @@ def cmd_train_probe(args) -> int:
 
 
 def cmd_eval_probe(args) -> int:
-    cfg = load_config(args.config, "probe", _overrides(args))
+    cfg = load_config(args.config, "probe", _overrides(args), _LOWEST_EVAL_PROBE)
     _, legit = _load_or_generate(args, cfg)
     policy = _read(rl.ProbePolicy.load, args.policy)
     want = (legit.num_nodes, legit.n_actions)

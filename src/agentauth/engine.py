@@ -135,6 +135,8 @@ def run_pdt_sessions(server: Pdt, clients: Sequence[Pdt], u: np.ndarray) -> np.n
     # code of the opponent's last depth actions, kept mod n^depth.
     depths = np.array([[server.depth], [depth]])
     modulus = n**depths
+    top = max(server.depth, depth)
+    starts = [base + (n ** np.minimum(t, depths) - 1) // (n - 1) for t in range(top + 1)]
     code = np.zeros((2, batch), dtype=np.int64)
     steps = u.shape[1]
     uniforms = np.ascontiguousarray(u.transpose(1, 2, 0))[..., None]
@@ -142,19 +144,20 @@ def run_pdt_sessions(server: Pdt, clients: Sequence[Pdt], u: np.ndarray) -> np.n
     node = np.empty((2, batch), dtype=np.int64)
     probs = np.empty((2, batch, n))
     cdf = np.empty((2, batch, n))
+    head = cdf[..., :-1]
     below = np.empty((2, batch, n - 1), dtype=bool)
-    for t in range(steps):
-        if t <= depths.max():
-            start = base + (n ** np.minimum(t, depths) - 1) // (n - 1)
-        np.add(start, code, out=node)
+    # Nothing the loop can build once is built per step: a step is about ten
+    # numpy calls of a few microseconds each.
+    for t, u_t, a_t, opponent in zip(range(steps), uniforms, actions, actions[:, ::-1]):
+        np.add(starts[min(t, top)], code, out=node)
         table.take(node, axis=0, out=probs)
         np.add.accumulate(probs, axis=2, out=cdf)  # np.cumsum without its wrapper
         # Count of the first n-1 CDF values <= u: sums never decrease, so it is
         # the index of Pdt.sample_action's first running sum > u, else n-1.
-        np.less_equal(cdf[..., :-1], uniforms[t], out=below)
-        np.add.reduce(below, axis=2, out=actions[t])
+        np.less_equal(head, u_t, out=below)
+        np.add.reduce(below, axis=2, out=a_t)
         code *= n
-        code += actions[t, ::-1]
+        code += opponent
         code %= modulus
     return np.ascontiguousarray(actions.transpose(2, 0, 1)) + 1
 

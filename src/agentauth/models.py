@@ -59,13 +59,21 @@ def _softmax_rows(logits: np.ndarray, temperature: float) -> np.ndarray:
     # Fixed evaluation order (max-subtraction, exp, left-to-right sum).  The
     # exp's last bits still depend on numpy's SIMD path, so two CPUs can get
     # different tables from the same logits; model files therefore store the
-    # result.  In place after the first division: at paper size this runs
-    # over 1.1M entries, and each temporary costs milliseconds.
-    e = logits / temperature
-    e -= e.max(axis=1, keepdims=True)
+    # result.  Computed on the transpose, one contiguous row per action,
+    # because reductions along short rows run a loop per row.  The division
+    # writes a new array: the transpose of one row is already contiguous, so
+    # np.ascontiguousarray would return the caller's logits.  The sum is a
+    # loop: np.add.reduce over axis 0 adds pairwise when there is one row.
+    # In place after that: at paper size this runs over 1.1M entries, and
+    # each temporary costs milliseconds.
+    e = np.divide(logits.T, temperature, order="C")
+    e -= e.max(axis=0)
     np.exp(e, out=e)
-    e /= np.cumsum(e, axis=1)[:, -1:]
-    return e
+    total = e[0].copy()
+    for row in e[1:]:
+        total += row
+    e /= total
+    return np.ascontiguousarray(e.T)
 
 
 def boltzmann(logits, temperature: float) -> np.ndarray:
@@ -100,7 +108,7 @@ class Pdt:
             raise ValueError("n_actions must be >= 2")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        probs = np.array(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64, order="C")
         expected = node_count(self.n_actions, self.depth)
         if probs.shape != (expected, self.n_actions):
             raise ValueError(

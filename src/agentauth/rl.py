@@ -83,7 +83,8 @@ class ProbePolicy:
     @classmethod
     def load(cls, path) -> "ProbePolicy":
         """A saved policy; a table that is not finite, or of the wrong shape,
-        or an epsilon outside [0, 1] raises ValueError."""
+        a num_states or n_actions that disagrees with it, or an epsilon
+        outside [0, 1] raises ValueError."""
         with open(path) as f:
             doc = json.load(f)
         preferences = np.array(doc["preferences"], dtype=float)
@@ -92,6 +93,12 @@ class ProbePolicy:
         if not (preferences.ndim == 2 and preferences.shape[1] >= 2
                 and np.isfinite(preferences).all()):
             raise ValueError("preferences must be a finite table of at least 2 columns")
+        declared = (doc.get("num_states"), doc.get("n_actions"))
+        if any(d is not None and d != s for d, s in zip(declared, preferences.shape)):
+            raise ValueError(
+                f"num_states {declared[0]} and n_actions {declared[1]} disagree with "
+                f"preferences of shape {preferences.shape}"
+            )
         if not (values.shape == preferences.shape[:1] and np.isfinite(values).all()):
             raise ValueError(f"values must be {len(preferences)} finite numbers")
         if not (type(epsilon) in (int, float) and 0 <= epsilon <= 1):

@@ -61,6 +61,17 @@ def sample_action(p, u: float) -> int:
     return min(idx, len(p) - 1) + 1
 
 
+def softmax_rows(logits, temperature: float) -> np.ndarray:
+    """Reference softmax of models._softmax_rows, row by row in row-major
+    layout: divide, subtract the row max, exp, divide by the row's
+    left-to-right running sum."""
+    e = logits / temperature
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.cumsum(e, axis=1)[:, -1:]
+    return e
+
+
 def softmax_act(policy, state: int, rng) -> int:
     """Reference softmax draw of rl.act: numpy's own weighted choice."""
     return int(rng.choice(policy.n_actions, p=policy.distribution(state))) + 1

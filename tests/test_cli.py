@@ -249,6 +249,19 @@ class TestExperimentInputErrors:
         )
         assert not out.exists()
 
+    def test_policy_header_disagreeing_with_its_tables_refused(self, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        ProbePolicy.zeros(4, 3).save(policy)
+        doc = json.loads(policy.read_text())
+        policy.write_text(json.dumps({**doc, "n_actions": 7, "num_states": 99}))
+        out = tmp_path / "c.csv"
+        assert_refused(
+            ["eval-probe", "--policy", str(policy), "--out", str(out), *self.SMALL],
+            capsys, "agentauth eval-probe:", str(policy), "ValueError",
+            "num_states 99 and n_actions 7", "(4, 3)",
+        )
+        assert not out.exists()
+
     def test_classifier_of_other_width_refused_before_any_session(self, tmp_path, capsys):
         # SMALL runs at n=3, l=5; this checkpoint was saved for l=20.
         classifier = tmp_path / "clf.json"
@@ -419,6 +432,17 @@ class TestConfigRanges:
         assert exc.value.code == 2
         assert "unrecognized arguments: --trials" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_train_probe_takes_a_config_of_one_trial(self, tmp_path):
+        """Only eval-probe needs two trials; train-probe never reads them."""
+        config = tmp_path / "config.json"
+        config.write_text('{"trials": 1}')
+        policy = tmp_path / "policy.json"
+        assert main([
+            "train-probe", "--config", str(config), "--out", str(policy), "--steps", "10",
+            *self.DIMS,
+        ]) == 0
+        assert policy.exists()
 
     def test_negative_grid_value_refused(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -11,6 +11,7 @@ from agentauth.models import (
     Pdt,
     PdtAgent,
     UnsupportedVersionError,
+    _softmax_rows,
     boltzmann,
     fit_mle_pdt,
     generate_random_pdt,
@@ -18,7 +19,7 @@ from agentauth.models import (
     node_count,
     save_pdt,
 )
-from oracles import FixedUniforms, node_index, sample_action
+from oracles import FixedUniforms, node_index, sample_action, softmax_rows
 
 
 def bfs_paths(n, depth):
@@ -65,6 +66,30 @@ class TestBoltzmann:
             boltzmann([0.1, float("nan")], 1.0)
         with pytest.raises(ValueError):
             boltzmann([0.1, float("inf")], 1.0)
+
+
+class TestSoftmaxRows:
+    """_softmax_rows equals the row-by-row reference bit for bit, one row
+    included, where a transpose of the input is a view of it."""
+
+    @pytest.mark.parametrize("tau", [0.05, 0.1, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 8, 10, 17, 33])
+    @pytest.mark.parametrize("rows", [1, 2, 11, 364, 111_111])
+    def test_bit_identical_to_reference(self, rows, n, tau):
+        logits = np.random.default_rng(rows * 1000 + n).random((rows, n))
+        kept = logits.copy()
+        got = _softmax_rows(logits, tau)
+        assert np.array_equal(got, softmax_rows(kept, tau))
+        assert got.flags.c_contiguous
+        assert np.array_equal(logits, kept)
+
+    @pytest.mark.parametrize("n", [8, 10, 17, 33])
+    def test_boltzmann_leaves_its_logits(self, n):
+        logits = np.random.default_rng(n).random(n)
+        kept = logits.copy()
+        p = boltzmann(logits, 0.1)
+        assert np.array_equal(logits, kept)
+        assert np.array_equal(p, softmax_rows(kept[None, :], 0.1)[0])
 
 
 def walk(pdt, context):
@@ -311,6 +336,12 @@ class TestProbabilityTable:
         probs[0] = [1.0, 0.0, 0.0]
         assert pdt.probs[0, 0] == 1 / 3
         assert not pdt.probs.flags.writeable
+
+    def test_fortran_ordered_table_held_in_row_order(self):
+        probs = generate_random_pdt(3, 2, 0.5, np.random.default_rng(3)).probs
+        pdt = Pdt(3, 2, np.asfortranarray(probs))
+        assert pdt.probs.flags.c_contiguous
+        assert np.array_equal(pdt.probs, probs)
 
 
 def split_v2(path):
