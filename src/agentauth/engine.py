@@ -1,12 +1,8 @@
 """Interaction engine: run the l-step action exchange between two agents and
 derive a shared session key from the resulting transcript.
 
-`exchange` is the one step loop of a live session.  `run_pdt_sessions` runs
-many PDT-vs-PDT sessions in lock step for dataset generation.  It takes its
-uniforms as u[b, t, 0] (server) and u[b, t, 1] (client), the order in which
-back-to-back `run_interaction` calls with `PdtAgent`s draw them from one
-generator, and it samples exactly as `Pdt.sample_action` does; so batching
-changes neither a dataset nor the generator's stream."""
+`exchange` is the one step loop of a live session.  `run_pdt_sessions` runs a
+dataset's PDT sessions in lock step, bit for bit as `run_interaction` would."""
 
 from __future__ import annotations
 
@@ -17,7 +13,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from agentauth.models import Pdt, node_path
+from agentauth.models import Pdt, PdtAgent, node_path
 
 KEY_QUANT_BITS = 32
 CONFIRM_LABEL = b"confirm"
@@ -28,7 +24,9 @@ class ProtocolViolation(RuntimeError):
 
 
 class AgentHandle(Protocol):
-    """Anything that can pick a next action given the opponent's history."""
+    """Anything that can pick a next action given the opponent's history.
+    exchange plays a PdtAgent by PdtAgent.play on one block of uniforms, or
+    step by step where its rng is no Generator or is shared with another kind."""
 
     def next_action(self, opponent_history, rng: np.random.Generator) -> int: ...
 
@@ -42,10 +40,10 @@ class InteractionHistory:
 
     def __post_init__(self):
         n = self.n_actions
-        if not (isinstance(n, int) and n >= 2):
+        if not (type(n) is int and n >= 2):
             raise ValueError(f"n_actions must be an int >= 2, got {n!r}")
         for s, c in self.steps:
-            if not (isinstance(s, int) and isinstance(c, int) and 0 < s <= n and 0 < c <= n):
+            if not (type(s) is int and type(c) is int and 0 < s <= n and 0 < c <= n):
                 raise ValueError(f"step {(s, c)} has an action outside 1..{n}")
 
     @property
@@ -60,30 +58,43 @@ class InteractionHistory:
 
 
 def exchange(
-    agent: AgentHandle, peer, l: int, rng: np.random.Generator, n_actions: int, role="server"
+    agent: AgentHandle, peer, l: int, rng: np.random.Generator, n_actions: int, role="server",
+    *, draw=None,
 ) -> InteractionHistory:
-    """Run one session's l+1 simultaneous steps from one side's view: each step,
-    agent.next_action(peer_actions_so_far, rng) picks this side's action, then
-    peer(own_action, own_actions_before) returns the peer's (another agent, or
-    a commit-reveal round on a socket).  An action that is not an int in
-    1..n_actions raises ProtocolViolation naming its side.  Agents get the
-    loop's own growing lists and must neither keep nor change them.  The
-    history is in (server, client) order."""
+    """Run one session's l+1 simultaneous steps from one side's view: each
+    step the agent picks this side's action, then peer(own_action,
+    own_actions_before) returns the peer's (another agent, or a commit-reveal
+    round on a socket).  An action that is not an int in 1..n_actions (a bool
+    is not) raises ProtocolViolation naming its side.  Agents get the loop's
+    own growing lists and must neither keep nor change them.  The history is
+    in (server, client) order.  A PdtAgent plays PdtAgent.play(draw), by
+    default on one block rng.random(l + 1), the stream and end state of l+1
+    scalar draws (step by step if rng is no Generator); nothing else may draw
+    from rng meanwhile, and an aborted session leaves rng further on."""
     if l < 0:
         raise ValueError("l must be >= 0")
     other = "client" if role == "server" else "server"
-    own, theirs = [], []
+    own, theirs, b = [], [], None
+    if isinstance(agent, PdtAgent):
+        game = agent.play(draw or _own_draw(rng, l))
+    else:
+        game = (agent.next_action(theirs, rng) for _ in range(l + 1))
     for _ in range(l + 1):
-        a = agent.next_action(theirs, rng)
-        if not (isinstance(a, int) and 0 < a <= n_actions):
+        a = game.send(b)
+        if not (type(a) is int and 0 < a <= n_actions):
             raise ProtocolViolation(f"{role} produced invalid action {a!r}")
         b = peer(a, own)
-        if not (isinstance(b, int) and 0 < b <= n_actions):
+        if not (type(b) is int and 0 < b <= n_actions):
             raise ProtocolViolation(f"{other} produced invalid action {b!r}")
         own.append(a)
         theirs.append(b)
     pairs = zip(own, theirs) if role == "server" else zip(theirs, own)
     return InteractionHistory(steps=list(pairs), n_actions=n_actions)
+
+
+def _own_draw(rng, l: int):
+    block = isinstance(rng, np.random.Generator)
+    return iter(rng.random(l + 1).tolist()).__next__ if block else rng.random
 
 
 def run_interaction(
@@ -96,13 +107,28 @@ def run_interaction(
 ) -> InteractionHistory:
     """Simulate a full exchange of l+1 simultaneous steps in process: at each
     step the server, then the client, draws conditioned only on the history
-    strictly before that step, so neither sees the other's current action."""
-    if n_actions is None:
-        pdt = getattr(server, "pdt", None) or getattr(client, "pdt", None)
-        if pdt is None:
-            raise ValueError("n_actions must be given for non-PDT agents")
-        n_actions = pdt.n_actions
-    return exchange(server, lambda _, seen: client.next_action(seen, rng_c), l, rng_s, n_actions)
+    strictly before that step, so neither sees the other's current action.
+    Two PdtAgents on one generator share one block rng.random((l+1, 2)),
+    column 0 the server's: the order of step-by-step draws.  A PdtAgent that
+    shares its generator with another kind of agent draws step by step."""
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    pdt = getattr(server, "pdt", None) or getattr(client, "pdt", None)
+    if n_actions is None and pdt is None:
+        raise ValueError("n_actions must be given for non-PDT agents")
+    n_actions = pdt.n_actions if n_actions is None else n_actions
+    shared = getattr(rng_s, "bit_generator", rng_s) is getattr(rng_c, "bit_generator", rng_c)
+    draw_s = draw_c = rng_s.random if shared else None
+    both = isinstance(server, PdtAgent) and isinstance(client, PdtAgent)
+    if shared and both and isinstance(rng_s, np.random.Generator):
+        u = rng_s.random((l + 1, 2)).T.tolist()
+        draw_s, draw_c = iter(u[0]).__next__, iter(u[1]).__next__
+    if isinstance(client, PdtAgent):
+        game = client.play(draw_c or _own_draw(rng_c, l))
+        peer = lambda _, seen: game.send(seen[-1] if seen else None)  # noqa: E731
+    else:
+        peer = lambda _, seen: client.next_action(seen, rng_c)  # noqa: E731
+    return exchange(server, peer, l, rng_s, n_actions, draw=draw_s)
 
 
 def run_pdt_sessions(server: Pdt, clients: Sequence[Pdt], u: np.ndarray) -> np.ndarray:
@@ -203,7 +229,7 @@ def load_transcript(path) -> InteractionHistory:
         raise ValueError(f"empty transcript file: {path}")
     header, rows = lines[0], lines[1:]
     steps = [(row["s"], row["c"]) for row in rows]
-    if header["l"] != len(steps) - 1:
+    if type(header["l"]) is not int or header["l"] != len(steps) - 1:
         raise ValueError(
             f"transcript has {len(steps)} steps but header declares l={header['l']!r}"
         )

@@ -151,28 +151,41 @@ class Pdt:
         return self.probs[node]
 
     def sample_action(self, opponent_history, rng: np.random.Generator) -> int:
-        """Inverse-CDF draw of one u = rng.random(): the first action whose
-        running sum of probabilities exceeds u, else n.  Python floats added
-        left to right: np.cumsum(p).searchsorted(u, "right") bit for bit."""
-        row = self.action_distribution(opponent_history).tolist()
-        u = rng.random()
-        total = 0.0
-        for a, p in enumerate(row[:-1], 1):
-            total += p
-            if total > u:
-                return a
-        return self.n_actions
+        """Inverse-CDF draw of one u = rng.random() from the history's node."""
+        return _inverse_cdf(self.action_distribution(opponent_history).tolist(), rng.random())
+
+
+def _inverse_cdf(row: list, u: float) -> int:
+    """The first action whose running sum of row, Python floats added left to
+    right, exceeds u, else n: min(cumsum(p).searchsorted(u, "right"), n-1) + 1."""
+    action, total = 0, 0.0
+    for p in row:
+        action += 1
+        total += p
+        if total > u:
+            return action
+    return action
 
 
 class PdtAgent:
     """Decision source backed by a PDT; usable anywhere an agent handle is
-    expected."""
+    expected.  It keeps no state: one instance may play many sessions."""
 
     def __init__(self, pdt: Pdt):
         self.pdt = pdt
 
     def next_action(self, opponent_history, rng: np.random.Generator) -> int:
         return self.pdt.sample_action(opponent_history, rng)
+
+    def play(self, draw):
+        """One session as a coroutine: yields this side's action each step and
+        is sent the opponent's.  It plays as next_action, carrying its node by
+        Pdt.next_node and reading its rows from a flat view of the table."""
+        n, next_node, node = self.pdt.n_actions, self.pdt.next_node, 0
+        flat = memoryview(self.pdt.probs).cast("B").cast("d")
+        while True:
+            opponent = yield _inverse_cdf(flat[node * n : node * n + n], draw())
+            node = next_node(node, opponent)
 
 
 def generate_random_pdt(

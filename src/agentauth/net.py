@@ -12,6 +12,7 @@ key-confirmation tag; the key itself never crosses the wire.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import logging
 import secrets
 import socket
@@ -279,5 +280,5 @@ def client_authenticate(
         if len(payload) != 1 + 32:
             raise ProtocolError("accepted DECISION must carry a 32-byte tag")
         key = derive_key(history, model)
-        tag_ok = confirmation_tag(key) == payload[1:]
+        tag_ok = hmac.compare_digest(confirmation_tag(key), payload[1:])
         return ClientResult(accepted=True, key=key, tag_ok=tag_ok, history=history)

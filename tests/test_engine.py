@@ -15,7 +15,10 @@ from agentauth.engine import (
     run_pdt_sessions,
     save_transcript,
 )
+from agentauth.hypo import p_value
 from agentauth.models import Pdt, PdtAgent, fit_mle_pdt, generate_random_pdt, node_count
+from agentauth.rl import MODE_EPS_GREEDY, MODE_SOFTMAX, PolicyAgent, ProbePolicy, UniformAgent
+from oracles import sample_action
 
 
 class FixedAgent:
@@ -304,5 +307,182 @@ class TestTranscriptIO:
     def test_length_mismatch_detected(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"n": 3, "l": 5}\n{"t": 0, "s": 1, "c": 2}\n')
+        with pytest.raises(ValueError):
+            load_transcript(path)
+
+
+class RandomCallAgent:
+    """Draws its action with one scalar rng.random(): a non-PDT agent whose
+    draws come from whichever generator it is handed."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def next_action(self, opponent_history, rng):
+        return 1 + int(rng.random() * self.n)
+
+
+def session_digest(sessions, rngs, model):
+    """SHA-256 over every session's transcript, p-value and session key and
+    every generator's state after it."""
+    h = hashlib.sha256()
+    for history in sessions():
+        h.update(np.asarray(history.steps, dtype=np.int64).tobytes())
+        h.update(float(p_value(history, model)).hex().encode())
+        h.update(derive_key(history, model))
+        for rng in rngs:
+            h.update(repr(rng.bit_generator.state).encode())
+    return h.hexdigest()
+
+
+# Taken from the step-by-step draws: one scalar rng.random() per PDT step.
+SESSION_DIGESTS = {
+    "separate": "7b70f3b5a970a2e87bd52f4f0a4bf171aaa076b4de470b418ee3d06cebc8c83b",
+    "shared": "dd728d07237478b9e87637dfd2e85959b0cc295823f5c59affc35fcdc09a5352",
+    "uniform": "572c9524ab905d409a057c95dd2477b93625e40b7a59f15baf8980a30c74534c",
+    "random_call": "d32a0ccff0322b90a247fe18ada0554fc4747c130fa26e3e384fa2395e5a2a3e",
+}
+
+
+class TestSessionBits:
+    """Pinned outputs of run_interaction: how a side draws its uniforms may
+    change, the transcripts, p-values, keys and generator states may not."""
+
+    @pytest.fixture(scope="class")
+    def paper_models(self):
+        rng = np.random.default_rng(2024)
+        server = generate_random_pdt(10, 5, 1.0, rng)
+        legit = generate_random_pdt(10, 5, 0.1, rng)
+        other = generate_random_pdt(10, 5, 0.1, rng)
+        return server, legit, other
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["separate", "shared"])
+    def test_paper_default_sessions(self, paper_models, shared):
+        server, legit, other = paper_models
+        rng_s = np.random.default_rng(31)
+        rng_c = rng_s if shared else np.random.default_rng(32)
+        clients = [PdtAgent(legit), PdtAgent(other), PdtAgent(legit)]
+
+        def sessions():
+            for i in range(60):
+                yield run_interaction(PdtAgent(server), clients[i % 3], 200, rng_s, rng_c)
+
+        key = "shared" if shared else "separate"
+        assert session_digest(sessions, [rng_s, rng_c], legit) == SESSION_DIGESTS[key]
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    @pytest.mark.parametrize("l", [0, 1, 200])
+    def test_shared_generator_equals_stepwise_feed(self, n, l):
+        rng = np.random.default_rng(300 * n + l)
+        server = generate_random_pdt(n, 2, 1.0, rng)
+        client = generate_random_pdt(n, 3, 0.3, rng)
+        played, fed = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            got = run_interaction(PdtAgent(server), PdtAgent(client), l, played, played)
+            feed = UniformFeed(fed.random((l + 1, 2)))
+            want = run_interaction(PdtAgent(server), PdtAgent(client), l, feed, feed)
+            assert got.steps == want.steps
+            assert played.bit_generator.state == fed.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["uniform", "random_call"])
+    def test_pdt_server_against_drawing_agent_on_one_generator(self, kind):
+        # The client draws from the session's one generator between the
+        # server's draws, so nothing may be drawn ahead of a step.
+        rng = np.random.default_rng(12)
+        server = generate_random_pdt(3, 2, 1.0, rng)
+        legit = generate_random_pdt(3, 2, 0.3, rng)
+
+        def sessions():
+            for l in (0, 1, 40, 200):
+                client = UniformAgent(3) if kind == "uniform" else RandomCallAgent(3)
+                yield run_interaction(PdtAgent(server), client, l, rng, rng)
+
+        assert session_digest(sessions, [rng], legit) == SESSION_DIGESTS[kind]
+
+    def test_pdt_client_against_policy_server_on_one_generator(self):
+        rng = np.random.default_rng(13)
+        legit = generate_random_pdt(3, 2, 0.3, rng)
+        policy = ProbePolicy.zeros(node_count(3, 2), 3, epsilon=0.5)
+        policy.preferences[:] = rng.normal(size=policy.preferences.shape)
+        for mode in (MODE_EPS_GREEDY, MODE_SOFTMAX):
+            played, ref = np.random.default_rng(14), np.random.default_rng(14)
+            got = run_interaction(PolicyAgent(policy, legit, mode), PdtAgent(legit), 60, played, played)
+            # Step by step: the server's draws, then the client's one uniform.
+            server, steps = PolicyAgent(policy, legit, mode), []
+            for _ in range(61):
+                a = server.next_action(None, ref)
+                context = [s for s, _ in steps][-2:]
+                node = legit.action_distribution(context)
+                steps.append((a, sample_action(node, ref.random())))
+            assert got.steps == steps
+            assert played.bit_generator.state == ref.bit_generator.state
+
+    def test_two_generators_over_one_bit_generator_are_one_generator(self):
+        rng = np.random.default_rng(17)
+        server = generate_random_pdt(3, 2, 1.0, rng)
+        client = generate_random_pdt(3, 2, 0.3, rng)
+        bits = np.random.PCG64(18)
+        views = np.random.Generator(bits), np.random.Generator(bits)
+        one = np.random.Generator(np.random.PCG64(18))
+        for l in (0, 5, 30):
+            got = run_interaction(PdtAgent(server), PdtAgent(client), l, *views)
+            want = run_interaction(PdtAgent(server), PdtAgent(client), l, one, one)
+            assert got.steps == want.steps
+        assert bits.state == one.bit_generator.state
+
+    @pytest.mark.parametrize("l", [-1, -2])
+    def test_negative_length_refused_before_any_draw(self, l):
+        rng = np.random.default_rng(19)
+        model = generate_random_pdt(3, 2, 0.3, rng)
+        state = rng.bit_generator.state
+        for other in (rng, np.random.default_rng(20)):
+            with pytest.raises(ValueError, match="l must be"):
+                run_interaction(PdtAgent(model), PdtAgent(model), l, rng, other)
+        assert rng.bit_generator.state == state
+
+    def test_reference_agrees_with_oracle_draws(self):
+        # The pinned digests above are of this step-by-step rule.
+        rng, ref = np.random.default_rng(15), np.random.default_rng(15)
+        server = generate_random_pdt(3, 2, 1.0, np.random.default_rng(16))
+        got = run_interaction(PdtAgent(server), RandomCallAgent(3), 50, rng, rng)
+        steps = []
+        for _ in range(51):
+            context = [c for _, c in steps][-2:]
+            a = sample_action(server.action_distribution(context), ref.random())
+            steps.append((a, RandomCallAgent(3).next_action(None, ref)))
+        assert got.steps == steps
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestBoolRefused:
+    """True == 1 in Python, so a bool passes a range check; it is no action."""
+
+    @pytest.mark.parametrize("steps", [[(True, 2)], [(1, 2), (3, True)]])
+    def test_history_refuses_bool_action(self, steps):
+        with pytest.raises(ValueError, match="outside"):
+            InteractionHistory(steps, 3)
+
+    def test_exchange_refuses_bool_from_agent(self):
+        with pytest.raises(ProtocolViolation, match="server produced invalid action True"):
+            exchange(FixedAgent(True), lambda a, _: 1, 1, np.random.default_rng(0), 3)
+
+    def test_exchange_refuses_bool_from_peer(self):
+        with pytest.raises(ProtocolViolation, match="server produced invalid action True"):
+            exchange(FixedAgent(1), lambda a, _: True, 1, np.random.default_rng(0), 3, role="client")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "l": 0}\n{"t": 0, "s": true, "c": 2}\n',
+            '{"n": 3, "l": 0}\n{"t": 0, "s": 1, "c": true}\n',
+            '{"n": 3, "l": true}\n{"t": 0, "s": 1, "c": 2}\n{"t": 1, "s": 1, "c": 2}\n',
+            '{"n": 3, "l": false}\n{"t": 0, "s": 1, "c": 2}\n',
+            '{"n": true, "l": 0}\n{"t": 0, "s": 1, "c": 1}\n',
+        ],
+        ids=["s", "c", "l", "l_false", "n"],
+    )
+    def test_load_transcript_refuses_bool(self, tmp_path, text):
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
         with pytest.raises(ValueError):
             load_transcript(path)
