@@ -338,7 +338,10 @@ def cmd_client(args) -> int:
 def cmd_derive_key(args) -> int:
     model = _read(load_pdt, args.model)
     history = _read(load_transcript, args.transcript)
-    print(derive_key(history, model).hex())
+    try:
+        print(derive_key(history, model).hex())
+    except ValueError as exc:
+        raise _Failed(f"{args.transcript}: {exc}") from None
     return 0
 
 

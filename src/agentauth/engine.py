@@ -188,6 +188,14 @@ def run_pdt_sessions(server: Pdt, clients: Sequence[Pdt], u: np.ndarray) -> np.n
     return np.ascontiguousarray(actions.transpose(2, 0, 1)) + 1
 
 
+def check_same_n(history: InteractionHistory, model: Pdt) -> None:
+    """Refuse, with ValueError, a transcript and a model of different n."""
+    if history.n_actions != model.n_actions:
+        raise ValueError(
+            f"transcript has n={history.n_actions} but the model has n={model.n_actions}"
+        )
+
+
 def derive_key(history: InteractionHistory, model: Pdt) -> bytes:
     """32-byte session key from a transcript and a decision model.
 
@@ -197,6 +205,7 @@ def derive_key(history: InteractionHistory, model: Pdt) -> bytes:
     words are hashed with SHA-256.  Both sides obtain the same key exactly
     when their models assign identical probabilities along the transcript.
     """
+    check_same_n(history, model)
     steps = history.length
     nodes = node_path(history.server_actions(), model.n_actions, model.depth, steps)
     client = np.asarray(history.client_actions(), dtype=np.intp)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agentauth.engine import InteractionHistory
+from agentauth.engine import InteractionHistory, check_same_n
 from agentauth.models import Pdt, node_path
 
 DEFAULT_ALPHA = 0.1
@@ -57,12 +57,22 @@ def score_tables(q: np.ndarray) -> np.ndarray:
     score(a) = (q(a) + mass of all actions no more likely than a) / 2.
     Both halves read as "likelihood the action came from the model": the
     first is the plain likelihood, the second the rank mass including ties.
+    Scores are computed in sorted order and written back through the sort.
     """
-    sq = np.take_along_axis(q, np.argsort(q, axis=1, kind="stable"), axis=1)
+    order = np.argsort(q, axis=1, kind="stable")
+    pos = np.arange(q.size).reshape(q.shape)  # flat positions, row by row
+    flat = order + pos[:, :1]
+    sq = q.take(flat)
     cum = np.cumsum(sq, axis=1)
-    # Counting the sorted entries <= q(a) is searchsorted(sq, q(a), "right").
-    idx = np.count_nonzero(sq[:, None, :] <= q[:, :, None], axis=2)
-    return 0.5 * (q + np.take_along_axis(cum, idx - 1, axis=1))
+    # The mass of the entries <= sq[j] is cum at the last position of sq[j]'s
+    # run of equal values: the first run end at or after j.
+    ends = np.ones(q.shape, dtype=bool)
+    np.not_equal(sq[:, 1:], sq[:, :-1], out=ends[:, :-1])
+    last = np.minimum.accumulate(np.where(ends, pos, pos[:, -1:])[:, ::-1], axis=1)[:, ::-1]
+    sorted_scores = 0.5 * (sq + cum.take(last))
+    out = np.empty_like(sorted_scores)
+    out.put(flat, sorted_scores)
+    return out
 
 
 def observed_scores(scores: np.ndarray, client_actions) -> np.ndarray:
@@ -72,6 +82,7 @@ def observed_scores(scores: np.ndarray, client_actions) -> np.ndarray:
 
 def test_statistic(history: InteractionHistory, model: Pdt) -> float:
     """Mean step score of the observed client actions."""
+    check_same_n(history, model)
     q = step_distributions(history.server_actions(), model, history.length)
     return float(observed_scores(score_tables(q), history.client_actions()).mean())
 
@@ -139,18 +150,24 @@ def _atom_bound(q, scores, tol: float) -> int:
     sums."""
     support, low, span, spread = _spread(q, scores, tol)
     limit = _EXACT_WORK // (q.shape[-1] * max(np.count_nonzero(spread), 1))
-    rows = np.ascontiguousarray(q[spread]).view(np.dtype((np.void, q.shape[-1] * 8)))
-    _, first, visits = np.unique(rows.ravel(), return_index=True, return_counts=True)
-    if 2**first.size <= limit:  # each distinct row at least doubles the count
-        bound = 1
-        for t, m in zip(np.flatnonzero(spread)[first], visits):
-            s = 1 + np.count_nonzero(np.diff(np.sort(scores[t, support[t]])) > tol)
-            bound *= math.comb(int(m) + s - 1, s - 1)
-        if bound <= limit:
-            return bound
+    # Each distinct row at least doubles the count; rows with distinct first
+    # entries are distinct, so too many of those settle it without the rows.
+    if 2 ** np.unique(q[spread, 0]).size <= limit:
+        rows = np.ascontiguousarray(q[spread]).view(np.dtype((np.void, q.shape[-1] * 8)))
+        _, first, visits = np.unique(rows.ravel(), return_index=True, return_counts=True)
+        if 2**first.size <= limit:
+            bound = 1
+            for t, m in zip(np.flatnonzero(spread)[first], visits):
+                s = 1 + np.count_nonzero(np.diff(np.sort(scores[t, support[t]])) > tol)
+                bound *= math.comb(int(m) + s - 1, s - 1)
+            if bound <= limit:
+                return bound
     offsets = scores - low[:, None]
+    offsets = offsets[support & (offsets > tol)]
     g, finest = 0.0, span.sum() / max(limit - 1, 1)
-    for x in offsets[support & (offsets > tol)]:
+    if (offsets < finest).any():  # Euclid would return 0 on reaching it
+        return 0
+    for x in offsets:
         # g = gcd(g, x) by Euclid, remainders within tol of 0 or of the
         # divisor counting as 0; the gcd is at most every divisor.
         a, b = g, float(x)
@@ -190,12 +207,15 @@ def _saddle_tails(q, centred, support, x, var, tie: float) -> np.ndarray:
     highest = top.sum(axis=-1)
     gap = -np.where(support & (below < 0.0), below, -np.inf).max(axis=(-2, -1))
     tail = np.zeros(x.shape)
-    only_top = (x > highest - gap + tie) & (x <= highest + tie)
-    tail[only_top] = np.prod(np.where(below[only_top] == 0.0, q[only_top], 0.0).sum(-1), -1)
-    inside = x <= highest - gap + tie
+    edge = highest - gap + tie
+    only_top = (x > edge) & (x <= highest + tie)
+    if only_top.any():
+        tail[only_top] = np.prod(np.where(below[only_top] == 0.0, q[only_top], 0.0).sum(-1), -1)
+    inside = x <= edge
     if inside.any():
-        x = x[inside]
-        theta, k, k2 = _solve_saddle(q[inside], below[inside], highest[inside], x, var[inside])
+        if not inside.all():
+            q, below, highest, x, var = (a[inside] for a in (q, below, highest, x, var))
+        theta, k, k2 = _solve_saddle(q, below, highest, x, var)
         w = np.sqrt(2.0 * np.maximum(theta * x - k, 0.0))
         u = theta * np.sqrt(k2)
         upper = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in w])
@@ -211,13 +231,14 @@ def _solve_saddle(q, below, highest, x, var):
     theta = x / var
     lo, hi = np.zeros(x.shape), np.full(x.shape, np.inf)
     below2 = below * below
+    tol = 1e-10 * np.sqrt(var)
     for _ in range(100):
         w = q * np.exp(theta[:, None, None] * below)
         mass = np.einsum("btn->bt", w)
         m1 = np.einsum("btn,btn->bt", w, below) / mass
         k2 = np.einsum("bt->b", np.einsum("btn,btn->bt", w, below2) / mass - m1 * m1)
         miss = highest + np.einsum("bt->b", m1) - x
-        done = np.abs(miss) <= 1e-10 * np.sqrt(var)
+        done = np.abs(miss) <= tol
         if done.all():
             break
         lo = np.where(miss < 0, theta, lo)
@@ -237,6 +258,7 @@ def p_value(history: InteractionHistory, model: Pdt) -> float:
 
     Deterministic (null_tail draws nothing).  It can be exactly 0, for
     instance when the model gives the observed actions probability 0."""
+    check_same_n(history, model)
     q = step_distributions(history.server_actions(), model, history.length)
     scores = score_tables(q)
     z = float(observed_scores(scores, history.client_actions()).mean())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import logging
+import math
 import secrets
 import socket
 import socketserver
@@ -156,6 +157,10 @@ class ServerConfig:
         # the server at start-up instead of failing every session at its end.
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        # A negative timeout fails every session in settimeout; 0 makes the
+        # sockets non-blocking.
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a positive finite number, got {self.timeout}")
 
 
 class AmiServer(socketserver.ThreadingTCPServer):

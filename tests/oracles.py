@@ -9,9 +9,11 @@ import numpy as np
 from agentauth.clf import Dataset, encode_history
 from agentauth.engine import InteractionHistory, run_interaction
 from agentauth.hypo import (
+    _EXACT_WORK,
     _TIE,
     _atom_bound,
     _normal_two_sided,
+    _spread,
     observed_scores,
     score_tables,
     step_distributions,
@@ -28,6 +30,42 @@ def action_scores(q) -> np.ndarray:
     cum = np.cumsum(sq)
     idx = np.searchsorted(sq, q, side="right")
     return 0.5 * (q + cum[idx - 1])
+
+
+def broadcast_score_tables(q) -> np.ndarray:
+    """Reference hypo.score_tables in the table's own order: each action's
+    rank is the count of sorted entries <= q(a), by a (steps, n, n) compare."""
+    sq = np.take_along_axis(q, np.argsort(q, axis=1, kind="stable"), axis=1)
+    cum = np.cumsum(sq, axis=1)
+    idx = np.count_nonzero(sq[:, None, :] <= q[:, :, None], axis=2)
+    return 0.5 * (q + np.take_along_axis(cum, idx - 1, axis=1))
+
+
+def atom_bound(q, scores, tol: float) -> int:
+    """Reference hypo._atom_bound without its early exits: the multiset
+    bound over every distinct row, then Euclid over every positive offset."""
+    support, low, span, spread = _spread(q, scores, tol)
+    limit = _EXACT_WORK // (q.shape[-1] * max(np.count_nonzero(spread), 1))
+    rows = np.ascontiguousarray(q[spread]).view(np.dtype((np.void, q.shape[-1] * 8)))
+    _, first, visits = np.unique(rows.ravel(), return_index=True, return_counts=True)
+    if 2**first.size <= limit:  # each distinct row at least doubles the count
+        bound = 1
+        for t, m in zip(np.flatnonzero(spread)[first], visits):
+            s = 1 + np.count_nonzero(np.diff(np.sort(scores[t, support[t]])) > tol)
+            bound *= math.comb(int(m) + s - 1, s - 1)
+        if bound <= limit:
+            return bound
+    offsets = scores - low[:, None]
+    g, finest = 0.0, span.sum() / max(limit - 1, 1)
+    for x in offsets[support & (offsets > tol)]:
+        a, b = g, float(x)
+        while b > tol:
+            if b < finest:
+                return 0
+            r = math.fmod(a, b)
+            a, b = b, (r if b - r > tol else 0.0)
+        g = a
+    return int(span.sum() / g) + 1 if g else 1
 
 
 def steps_to_threshold(mean_p: np.ndarray, threshold: float) -> int | None:

@@ -105,6 +105,18 @@ class TestDeriveKey:
         assert len(captured.err.strip().splitlines()) == 1
         assert "outside 1..3" in captured.err
 
+    @pytest.mark.parametrize("model_n, transcript_n", [(3, 10), (10, 3)])
+    def test_transcript_of_another_n_refused(self, tmp_path, capsys, model_n, transcript_n):
+        rng = np.random.default_rng(7)
+        model_path = tmp_path / "model.json"
+        save_pdt(generate_random_pdt(model_n, 1, 0.5, rng), model_path)
+        other = generate_random_pdt(transcript_n, 1, 0.5, rng)
+        history = run_interaction(PdtAgent(other), PdtAgent(other), 30, rng, rng)
+        transcript_path = tmp_path / "t.jsonl"
+        save_transcript(history, transcript_path)
+        self._refused(model_path, transcript_path, capsys, f"n={transcript_n}")
+        self._refused(model_path, transcript_path, capsys, f"n={model_n}")
+
     @staticmethod
     def _refused(model_path, transcript_path, capsys, needle):
         assert_refused(

@@ -283,6 +283,13 @@ class TestDeriveKey:
         word = struct.pack(">Q", round(0.75 * 2**32))
         assert derive_key(h, model) == hashlib.sha256(word + word).digest()
 
+    @pytest.mark.parametrize("model_n, transcript_n", [(3, 10), (10, 3)])
+    def test_transcript_of_another_n_refused(self, model_n, transcript_n):
+        model = literal_pdt(model_n, 1, np.full(model_n, 1 / model_n))
+        h = InteractionHistory(steps=[(1, 2), (2, 1)], n_actions=transcript_n)
+        with pytest.raises(ValueError, match=f"n={transcript_n}.*n={model_n}"):
+            derive_key(h, model)
+
     def test_confirmation_tag(self):
         key = b"\x01" * 32
         assert confirmation_tag(key) == hashlib.sha256(key + b"confirm").digest()

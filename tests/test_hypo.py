@@ -1,10 +1,16 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentauth.engine import InteractionHistory, load_transcript, run_interaction, save_transcript
 from agentauth.hypo import (
+    _EXACT_WORK,
+    _TIE,
+    _atom_bound,
     RunningPValue,
     hypothesis_test,
     null_tail,
@@ -18,6 +24,7 @@ from agentauth.adv import make_random_adversary
 from oracles import (
     action_scores,
     analytic_moments,
+    atom_bound,
     convolved_exactly,
     enumerated_p,
     incremental_p,
@@ -230,6 +237,63 @@ class TestLiteralTrees:
             assert p_value(h, model) == pytest.approx(exact, rel=0, abs=1e-12)
 
 
+# (n, k, l): paper defaults and the probe dimensions, where few rows repeat,
+# and short or shallow sessions, which revisit their nodes.
+ATOM_DIMS = [(10, 5, 200), (3, 5, 100), (2, 3, 13), (2, 1, 60), (6, 2, 67), (3, 1, 30)]
+
+
+@functools.lru_cache(maxsize=None)
+def _atom_world(kind, dim, seed):
+    n, k, _ = ATOM_DIMS[dim]
+    rng = np.random.default_rng(seed)
+    server = generate_random_pdt(n, k, 1.0, rng)
+    if kind == "continuous":
+        return server, generate_random_pdt(n, k, 0.3, rng)
+    return server, count_ratio_pdt(n, k, [2, 3, 4, 6], rng)
+
+
+class TestAtomBound:
+    """_atom_bound's early exits decide nothing the reference would not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["continuous", "count_ratio"]),
+        dim=st.integers(0, len(ATOM_DIMS) - 1),
+        world=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        legit=st.booleans(),
+    )
+    def test_matches_reference_without_early_exits(self, kind, dim, world, seed, legit):
+        n, k, l = ATOM_DIMS[dim]
+        server, model = _atom_world(kind, dim, world)
+        rng = np.random.default_rng(seed)
+        client = PdtAgent(model) if legit else make_random_adversary(n, k, 1.0, rng)
+        h = run_interaction(PdtAgent(server), client, l, rng, rng)
+        q = step_distributions(h.server_actions(), model, h.length)
+        scores = score_tables(q)
+        tol = _TIE * h.length
+        assert _atom_bound(q, scores, tol) == atom_bound(q, scores, tol)
+
+    @pytest.mark.parametrize("excess", [-1000, -1, 0, 1])
+    def test_lattice_bound_at_the_limit(self, excess):
+        # 200 distinct two-action rows whose score offsets are multiples of
+        # 1/8, the smallest 1/8 itself, summing to limit - 1 + excess eighths:
+        # the lattice bound is their count + 1 while that is within the limit.
+        steps = 200
+        limit = _EXACT_WORK // (2 * steps)
+        total = limit - 1 + excess
+        p = np.arange(1, steps + 1) / (steps + 2)
+        q = np.stack([p, 1 - p], axis=1)
+        units = np.full(steps, total // steps)
+        units[: total % steps] += 1
+        units[-1] = 1
+        units[0] += total - units.sum()
+        scores = np.stack([np.zeros(steps), units / 8], axis=1)
+        tol = _TIE * steps
+        want = total + 1 if excess <= 0 else 0
+        assert _atom_bound(q, scores, tol) == atom_bound(q, scores, tol) == want
+
+
 class TestPValue:
     def test_zero_extremity_gives_one(self):
         model = literal_pdt(3, 1, [0.0, 1.0, 0.0])
@@ -276,6 +340,14 @@ class TestPValue:
 
 
 class TestHypothesisTest:
+    @pytest.mark.parametrize("model_n, transcript_n", [(3, 10), (10, 3)])
+    def test_transcript_of_another_n_refused(self, model_n, transcript_n):
+        model = literal_pdt(model_n, 1, np.full(model_n, 1 / model_n))
+        h = InteractionHistory(steps=[(1, 2), (2, 1), (3, 3)], n_actions=transcript_n)
+        for check in (p_value, hypothesis_test, statistic):
+            with pytest.raises(ValueError, match=f"n={transcript_n}.*n={model_n}"):
+                check(h, model)
+
     def test_threshold_readoff(self):
         rng = np.random.default_rng(11)
         model = generate_random_pdt(3, 2, 0.3, rng)

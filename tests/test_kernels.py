@@ -17,11 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentauth.adv import make_mle_adversary, make_random_adversary, make_replay_adversary
 from agentauth.engine import KEY_QUANT_BITS, InteractionHistory, derive_key, run_interaction
 from agentauth.hypo import (
     _normal_two_sided,
+    hypothesis_test,
     p_value,
     score_tables,
 )
@@ -39,6 +42,7 @@ from agentauth.rl import p_curve
 from oracles import (
     action_scores,
     analytic_moments,
+    broadcast_score_tables,
     convolved_exactly,
     enumerated_p,
     incremental_p,
@@ -165,6 +169,30 @@ class TestScoreTables:
         assert np.any(q == 0.0)
         assert score_tables(q).tobytes() == loop_score_tables(q).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.integers(1, 40).flatmap(
+            lambda steps: st.integers(1, 12).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                    min_size=steps,
+                    max_size=steps,
+                )
+            )
+        ),
+        ratios=st.booleans(),
+    )
+    def test_quantized_rows_with_ties_and_zeros(self, counts, ratios):
+        # Counts of 0 to 4, as they stand or over their row's total: many
+        # ties, exact zeros and all-zero rows.
+        q = np.array(counts, dtype=float)
+        if ratios:
+            totals = q.sum(axis=1, keepdims=True)
+            q = np.divide(q, totals, out=np.zeros_like(q), where=totals > 0)
+        got = score_tables(q).tobytes()
+        assert got == loop_score_tables(q).tobytes()
+        assert got == broadcast_score_tables(q).tobytes()
+
 
 # ---------------------------------------------------------------- fit_mle_pdt
 
@@ -201,6 +229,37 @@ def test_sessions_through_a_saved_model_keep_their_digest(tmp_path):
             digest.update(struct.pack("<d", p_value(history, model)))
             digest.update(derive_key(history, model))
     assert digest.hexdigest() == "fac201dcd48c10fa9cede615b5f49059bc465e2fdab24946230d7608b18626b4"
+
+
+def test_paper_default_clients_keep_their_p_value_digest():
+    """p_value and hypothesis_test scores of 48 paper-default sessions from
+    legit, random-tree, replay and MLE clients (the MLE copy fitted from 100
+    sessions), and one p_curve at the probe dimensions, hashed into one
+    digest: a faster test must compute every p-value to the same bits."""
+    rng = np.random.default_rng(25)
+    server = generate_random_pdt(10, 5, 1.0, rng)
+    user = generate_random_pdt(10, 5, 0.1, rng)
+    observed = [
+        run_interaction(PdtAgent(server), PdtAgent(user), 200, rng, rng) for _ in range(100)
+    ]
+    clients = {
+        "legit": PdtAgent(user),
+        "random": make_random_adversary(10, 5, 0.1, rng),
+        "replay": make_replay_adversary(observed[-1]),
+        "mle": make_mle_adversary(observed, 10, 5),
+    }
+    digest = hashlib.sha256()
+    for i in range(48):
+        client = clients[("legit", "random", "replay", "mle")[i % 4]]
+        history = run_interaction(PdtAgent(server), client, 200, rng, rng)
+        digest.update(struct.pack("<d", p_value(history, user)))
+        digest.update(struct.pack("<d", hypothesis_test(history, user).score))
+    probe_rng = np.random.default_rng(26)
+    probe_server = generate_random_pdt(3, 5, 1.0, probe_rng)
+    probe_user = generate_random_pdt(3, 5, 0.1, probe_rng)
+    curve = p_curve(PdtAgent(probe_server), PdtAgent(probe_user), probe_user, 100, probe_rng)
+    digest.update(np.asarray(curve, dtype="<f8").tobytes())
+    assert digest.hexdigest() == "8347ed7ca4909ac3cae82f33c28eb3e2d519df77f6a14eedfff9b9e147008e62"
 
 
 LOAD_AND_HASH = """

@@ -327,6 +327,12 @@ class TestHostilePeers:
         with pytest.raises(ValueError, match=field):
             ServerConfig(**{field: value})
 
+    @pytest.mark.parametrize("timeout", [-1.0, 0, 0.0, float("inf"), float("nan")])
+    def test_server_refuses_a_timeout_no_session_could_use(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            ServerConfig(timeout=timeout)
+        assert ServerConfig(timeout=0.2).timeout == 0.2
+
     @staticmethod
     def _frames_sent_by_failing_client(model, l, expected_error, match, client_agent=None):
         """Everything a client of user "alice" sends to a one-shot server that
